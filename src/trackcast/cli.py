@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from . import ensemble as ens
 from . import linear as lin
@@ -90,14 +91,22 @@ def load_config(path) -> dict:
     return cfg
 
 
+@contextmanager
+def _section_values(where: str):
+    """Report a value the config cannot take, whether a range check or a
+    failed int()/float()/tuple() coercion rejects it, as a ConfigError."""
+    try:
+        yield
+    except (InvalidArgumentError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _synth_config(cfg: dict) -> SynthConfig:
     body = dict(cfg.get("synth", {}))
     if "n_rows" not in body:
         raise ConfigError("synth section must set n_rows")
-    try:
+    with _section_values("synth section"):
         return SynthConfig(**body)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"synth section: {exc}") from None
 
 
 def _schema(cfg: dict) -> CsvSchema:
@@ -106,12 +115,10 @@ def _schema(cfg: dict) -> CsvSchema:
 
 def _preprocess_config(cfg: dict) -> PreprocessConfig:
     body = dict(cfg.get("preprocess", {}))
-    if "split_fractions" in body:
-        body["split_fractions"] = tuple(body["split_fractions"])
-    try:
+    with _section_values("preprocess section"):
+        if "split_fractions" in body:
+            body["split_fractions"] = tuple(body["split_fractions"])
         return PreprocessConfig(**body)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"preprocess section: {exc}") from None
 
 
 def _filter_config(cfg: dict, override_proportion) -> FilterConfig | None:
@@ -120,10 +127,8 @@ def _filter_config(cfg: dict, override_proportion) -> FilterConfig | None:
         body["discard_proportion"] = float(override_proportion)
     if not body and override_proportion is None:
         return None
-    try:
+    with _section_values("filter section"):
         return FilterConfig(**body)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"filter section: {exc}") from None
 
 
 def _model_list(cfg: dict, override) -> list[str]:
@@ -148,7 +153,7 @@ def _model_list(cfg: dict, override) -> list[str]:
 def _network_config(cfg: dict, arch: str) -> net.NetworkConfig:
     model = cfg.get("model", {})
     train_sec = cfg.get("train", {})
-    try:
+    with _section_values("model/train section"):
         return net.NetworkConfig(
             arch=arch,
             hidden_size=int(model.get("hidden_size", 32)),
@@ -161,15 +166,24 @@ def _network_config(cfg: dict, arch: str) -> net.NetworkConfig:
             learning_rate=float(train_sec.get("learning_rate", 1e-3)),
             seed=int(train_sec.get("seed", 0)),
         )
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"model/train section: {exc}") from None
 
 
 def _arima_order(cfg: dict) -> tuple[int, int, int]:
     order = cfg.get("model", {}).get("arima_order", [2, 0, 0])
     if not (isinstance(order, (list, tuple)) and len(order) == 3):
         raise ConfigError("arima_order must be a list [p, d, q]")
-    return int(order[0]), int(order[1]), int(order[2])
+    with _section_values("model section: arima_order"):
+        return int(order[0]), int(order[1]), int(order[2])
+
+
+def _model_setting(cfg: dict, name: str):
+    """What training model ``name`` needs besides the data: the ARIMA
+    order, the network config, or nothing for ``lr``."""
+    if name == "lr":
+        return None
+    if name == "arima":
+        return _arima_order(cfg)
+    return _network_config(cfg, name)
 
 
 def _ensemble_settings(cfg: dict, method_override, stack_override):
@@ -180,11 +194,23 @@ def _ensemble_settings(cfg: dict, method_override, stack_override):
             f"ensemble method must be one of {', '.join(ENSEMBLE_METHODS)}"
         )
     stack = bool(body.get("stack", False)) or bool(stack_override)
+    with _section_values("ensemble section"):
+        members = int(body.get("members", 5))
+        boost_threshold = float(body.get("boost_threshold", 0.15))
+    scope = body.get("boost_residual_scope", "original")
+    if members < 1:
+        raise ConfigError("ensemble members must be positive")
+    if not boost_threshold > 0.0:
+        raise ConfigError("ensemble boost_threshold must be positive")
+    if scope not in ens.RESIDUAL_SCOPES:
+        raise ConfigError(
+            f"boost_residual_scope must be one of {', '.join(ens.RESIDUAL_SCOPES)}"
+        )
     return {
         "method": method,
-        "members": int(body.get("members", 5)),
-        "boost_threshold": float(body.get("boost_threshold", 0.15)),
-        "boost_residual_scope": body.get("boost_residual_scope", "original"),
+        "members": members,
+        "boost_threshold": boost_threshold,
+        "boost_residual_scope": scope,
         "stack": stack,
     }
 
@@ -200,8 +226,9 @@ def _split_metrics(predict_fn, split: SplitSet) -> dict:
     return out
 
 
-def _train_one_model(name: str, cfg: dict, split: SplitSet, ens_settings: dict):
-    """Train one configured model; returns (entry dict, model object)."""
+def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
+    """Train one configured model from its ``_model_setting``;
+    returns (entry dict, model object)."""
     if name == "lr":
         model = lin.fit_linear(split.train)
         entry = {
@@ -211,7 +238,7 @@ def _train_one_model(name: str, cfg: dict, split: SplitSet, ens_settings: dict):
         }
         return entry, model
     if name == "arima":
-        p, d, q = _arima_order(cfg)
+        p, d, q = setting
         model = lin.fit_arimax(split.train, p, d, q)
         entry = {
             "kind": "arimax",
@@ -224,7 +251,7 @@ def _train_one_model(name: str, cfg: dict, split: SplitSet, ens_settings: dict):
             },
         }
         return entry, model
-    net_cfg = _network_config(cfg, name)
+    net_cfg = setting
     if ens_settings["method"] == "none":
         params, trace = net.train(net_cfg, split.train, split.val)
         entry = {
@@ -304,20 +331,28 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _read_data(path, schema: CsvSchema, timings: dict):
+    if not os.path.isfile(path):
+        raise DataFormatError(f"data file not found: {path}")
+    t0 = time.perf_counter()
+    table = read_csv(path, schema)
+    timings["read_csv_seconds"] = time.perf_counter() - t0
+    return table
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     models = _model_list(cfg, args.models)
+    settings = {name: _model_setting(cfg, name) for name in models}
     ens_settings = _ensemble_settings(cfg, args.ensemble, args.stack)
     pre_cfg = _preprocess_config(cfg)
     filter_cfg = _filter_config(cfg, args.filter_proportion)
     schema = _schema(cfg)
 
-    if not os.path.isfile(args.data):
-        raise DataFormatError(f"data file not found: {args.data}")
-    table = read_csv(args.data, schema)
+    timings: dict[str, float] = {}
+    table = _read_data(args.data, schema, timings)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     split, audit = run_preprocess(table, pre_cfg, filter_cfg)
     timings["preprocess_seconds"] = time.perf_counter() - t0
@@ -328,7 +363,7 @@ def cmd_run(args) -> int:
     for name in models:
         t0 = time.perf_counter()
         try:
-            entry, model = _train_one_model(name, cfg, split, ens_settings)
+            entry, model = _train_one_model(name, settings[name], split, ens_settings)
         except NumericDivergenceError as exc:
             diverged = True
             errors[name] = f"numeric divergence: {exc}"
@@ -381,19 +416,18 @@ def cmd_filter_sweep(args) -> int:
     proportions = _parse_proportions(args.proportions)
     models = _model_list(cfg, None)
     swept_model = models[0]
+    setting = _model_setting(cfg, swept_model)
     ens_settings = _ensemble_settings(cfg, None, None)
     pre_cfg = _preprocess_config(cfg)
     base_filter = _filter_config(cfg, None) or FilterConfig()
     schema = _schema(cfg)
 
-    if not os.path.isfile(args.data):
-        raise DataFormatError(f"data file not found: {args.data}")
-    table = read_csv(args.data, schema)
+    timings: dict[str, float] = {}
+    table = _read_data(args.data, schema, timings)
 
     rows = []
     shared_audit = None
     errors: dict[str, str] = {}
-    timings: dict[str, float] = {}
     diverged = False
     for prop in proportions:
         filter_cfg = FilterConfig(
@@ -413,7 +447,7 @@ def cmd_filter_sweep(args) -> int:
             "train_size": split.train.m,
         }
         try:
-            entry, _model = _train_one_model(swept_model, cfg, split, ens_settings)
+            entry, _model = _train_one_model(swept_model, setting, split, ens_settings)
         except NumericDivergenceError as exc:
             diverged = True
             errors[f"proportion={prop}"] = f"numeric divergence: {exc}"

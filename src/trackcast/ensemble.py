@@ -22,6 +22,7 @@ THREADS_ENV_VAR = "TRACKCAST_THREADS"
 
 _COND_LIMIT = 1e12
 _METHODS = ("bagging", "boosting")
+RESIDUAL_SCOPES = ("original", "current")
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def train_boosting(
         raise InvalidArgumentError("member count must be positive")
     if not (float(threshold) > 0.0):
         raise InvalidArgumentError("threshold must be positive")
-    if residual_scope not in ("original", "current"):
+    if residual_scope not in RESIDUAL_SCOPES:
         raise InvalidArgumentError("residual_scope must be 'original' or 'current'")
     m = int(m)
     threshold = float(threshold)

@@ -8,10 +8,10 @@ preprocessing stage downstream has real work to do.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import RawTable
 from .errors import DataFormatError, InvalidArgumentError, SchemaError
@@ -54,6 +54,8 @@ _BURST_AMP_LO = 0.15
 _BURST_AMP_HI = 0.30
 _OUTLIER_Z_LO = 9.0
 _OUTLIER_Z_SPAN = 3.0
+
+_SCAN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -109,21 +111,88 @@ def read_csv(path, schema: CsvSchema = CsvSchema()) -> RawTable:
 
     Cell errors cite their position as (data row, column), both
     1-based; the header row does not count.
+
+    The body is parsed in bulk by ``np.loadtxt``.  Its result is used
+    only when it provably equals the cell-by-cell parse: the file holds
+    no '"' and no line as long as csv's field limit, ``loadtxt`` kept
+    every data line (it skips blank ones) at the header's width, and
+    every value is finite.  Any other file goes through the
+    cell-by-cell parse, which raises the positioned errors.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        header = _read_header(csv.reader(fh), path, schema)
+    data_lines = _plain_data_line_count(path)
+    if data_lines:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, missing header") from None
-        header = [h.strip() for h in header]
-        missing = [
-            name
-            for name in (schema.mileage_column, schema.meters_column, schema.target_column)
-            if name not in header
-        ]
-        if missing:
-            raise SchemaError(f"{path}: header is missing column(s) {missing}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                rows = np.loadtxt(
+                    path, dtype=np.float64, delimiter=",", comments=None,
+                    skiprows=1, ndmin=2, encoding="utf-8",
+                )
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (data_lines, len(header)) and np.isfinite(rows).all():
+                return _raw_table(header, rows, schema)
+    return _read_csv_per_cell(path, schema)
+
+
+def _read_header(reader, path, schema: CsvSchema) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file, missing header") from None
+    header = [h.strip() for h in header]
+    missing = [
+        name
+        for name in (schema.mileage_column, schema.meters_column, schema.target_column)
+        if name not in header
+    ]
+    if missing:
+        raise SchemaError(f"{path}: header is missing column(s) {missing}")
+    return header
+
+
+def _plain_data_line_count(path) -> int | None:
+    """Data lines (after the header) as csv.reader splits them: "\\n",
+    "\\r" and "\\r\\n" each end one.  None when the file holds a '"' or a
+    line as long as csv's field limit, where csv.reader and
+    ``np.loadtxt`` may disagree."""
+    limit = csv.field_size_limit()
+    ends = 0
+    run = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            if b'"' in chunk:
+                return None
+            buf = np.frombuffer(chunk, dtype=np.uint8)
+            is_end = buf == ord("\n")
+            if b"\r" in chunk:
+                is_end |= buf == ord("\r")
+                ends -= chunk.count(b"\r\n")  # "\r\n" ends one line, not two
+            if last == b"\r" and chunk[:1] == b"\n":
+                ends -= 1  # a "\r\n" split across two chunks
+            pos = np.flatnonzero(is_end)
+            ends += pos.size
+            # line lengths in bytes, the first one carried over from the
+            # last chunk and the last one possibly unfinished
+            lengths = np.diff(pos, prepend=-1 - run, append=buf.size) - 1
+            if lengths.max() >= limit:
+                return None
+            run = int(lengths[-1])
+            last = chunk[-1:]
+    if last not in (b"", b"\n", b"\r"):
+        ends += 1  # unterminated last line
+    return ends - 1
+
+
+def _read_csv_per_cell(path, schema: CsvSchema) -> RawTable:
+    """The reference parse: one ``float()`` per cell, errors positioned."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path, schema)
         width = len(header)
         data: list[list[float]] = []
         for row_no, row in enumerate(reader, start=1):
@@ -147,6 +216,10 @@ def read_csv(path, schema: CsvSchema = CsvSchema()) -> RawTable:
                 parsed.append(value)
             data.append(parsed)
     rows = np.asarray(data, dtype=np.float64).reshape(len(data), width)
+    return _raw_table(header, rows, schema)
+
+
+def _raw_table(header: list[str], rows: np.ndarray, schema: CsvSchema) -> RawTable:
     return RawTable(
         column_names=tuple(header),
         rows=rows,
@@ -175,15 +248,30 @@ def _rolling_any(flags: np.ndarray, width: int) -> np.ndarray:
 
 
 def _ar2_series(innovations: np.ndarray) -> np.ndarray:
+    """y[t] = x[t] + (a1 y[t-1] + a2 y[t-2]) from rest, in the operation
+    order of ``scipy.signal.lfilter([1], [1, -a1, -a2], x)``, so the bits
+    match it."""
     a1, a2 = _AR_COEFFS
-    return lfilter([1.0], [1.0, -a1, -a2], innovations)
+    out = []
+    y1 = y2 = 0.0
+    for x in innovations.tolist():
+        y1, y2 = x + (a1 * y1 + a2 * y2), y1
+        out.append(y1)
+    return np.asarray(out, dtype=np.float64)
 
 
 def generate_synthetic(cfg: SynthConfig) -> RawTable:
     """Deterministically expand a config into a measurement table.
 
-    Every random value is a pure function of (seed, row, stream), so the
-    output is identical regardless of how generation is chunked.
+    Every random draw is a pure function of (seed, row, stream), so the
+    draws for a row do not depend on ``n_rows``.  The table cannot be
+    generated in independent chunks, though: the height channels are an
+    AR(2) recursion from rest at row 0, so each row depends on all the
+    rows before it, and an injected outlier takes its value from the
+    mean and std of its whole channel.  What holds is that the first n
+    rows of a longer table equal an n-row table except in the outlier
+    rows, whose heights (and, for the left channel, engineered
+    features) move with the whole-channel mean and std.
     """
     n = int(cfg.n_rows)
     rows_idx = np.arange(n, dtype=np.int64)

@@ -96,6 +96,58 @@ class TestConfigErrors:
             main([])
 
 
+class TestConfigValidatedBeforeData:
+    """Every setting a run uses is resolved before the CSV is read, so a
+    bad value exits 2 without creating ``--out-dir``."""
+
+    def _run(self, ws, tmp_path, section, body, *extra):
+        cfg = json.loads(json.dumps(ws["config_dict"]))
+        cfg.setdefault(section, {}).update(body)
+        return run_cli(ws, tmp_path, *extra, config=write_config(tmp_path, cfg))
+
+    def test_non_integer_member_count(self, cli_workspace, tmp_path):
+        code, out_dir = self._run(cli_workspace, tmp_path, "ensemble", {"members": "five"})
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_non_integer_arima_order(self, cli_workspace, tmp_path):
+        code, out_dir = self._run(cli_workspace, tmp_path, "model",
+                                  {"arima_order": [2, 0, "x"]}, "--models", "lr,arima")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_bad_residual_scope(self, cli_workspace, tmp_path):
+        code, out_dir = self._run(cli_workspace, tmp_path, "ensemble",
+                                  {"boost_residual_scope": "all"},
+                                  "--models", "cnn", "--ensemble", "boosting")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_bad_residual_scope_wins_over_missing_data(self, cli_workspace, tmp_path):
+        no_data = dict(cli_workspace, data=str(tmp_path / "none.csv"))
+        code, out_dir = self._run(no_data, tmp_path, "ensemble",
+                                  {"boost_residual_scope": "all"},
+                                  "--models", "cnn", "--ensemble", "boosting")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_non_numeric_network_setting(self, cli_workspace, tmp_path):
+        code, out_dir = self._run(cli_workspace, tmp_path, "train",
+                                  {"batch_size": "big"}, "--models", "gru")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_sweep_validates_swept_model(self, cli_workspace, tmp_path):
+        cfg = json.loads(json.dumps(cli_workspace["config_dict"]))
+        cfg["model"].update(models=["arima"], arima_order=[2, "x", 0])
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", write_config(tmp_path, cfg),
+                     "--data", str(tmp_path / "none.csv"),
+                     "--proportions", "0.2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestIoErrors:
     def test_missing_data_file(self, cli_workspace, tmp_path):
         code = main(["run", "--config", cli_workspace["config"],
@@ -235,6 +287,10 @@ class TestRun:
         _, out_dir = run_cli(cli_workspace, tmp_path)
         assert read_report(out_dir)["audit"]["filter"] is None
 
+    def test_csv_read_time_is_a_timing(self, cli_workspace, tmp_path):
+        _, out_dir = run_cli(cli_workspace, tmp_path)
+        assert read_report(out_dir)["timings"]["read_csv_seconds"] >= 0.0
+
     def test_reports_differ_only_in_timings(self, cli_workspace, tmp_path):
         _, out1 = run_cli(cli_workspace, tmp_path / "a")
         _, out2 = run_cli(cli_workspace, tmp_path / "b")
@@ -272,6 +328,7 @@ class TestFilterSweep:
         assert sizes == sorted(sizes, reverse=True)
         assert doc["models"] == {}
         assert doc["audit"]["filter"] is None
+        assert doc["timings"]["read_csv_seconds"] >= 0.0
         text = capsys.readouterr().out
         assert "proportion" in text and "train_mse" in text
 

@@ -1,6 +1,17 @@
+import csv
+import hashlib
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trackcast
+from trackcast import ingest
 from trackcast.core import RawTable
 from trackcast.errors import DataFormatError, InvalidArgumentError, SchemaError
 from trackcast.ingest import (
@@ -13,6 +24,7 @@ from trackcast.ingest import (
     write_csv,
 )
 from trackcast.core import pearson
+from trackcast.rng import keyed_uniform
 
 
 def small_cfg(**kw):
@@ -72,6 +84,20 @@ class TestGenerator:
         a = generate_synthetic(small_cfg(n_rows=500))
         b = generate_synthetic(small_cfg(n_rows=1200))
         assert np.array_equal(a.rows, b.rows[:500])
+
+    def test_prefix_differs_only_in_outlier_cells(self):
+        """Injected outliers take the mean and std of the whole channel,
+        so only their rows change when the table grows."""
+        rate, n = 0.02, 400
+        a = generate_synthetic(small_cfg(n_rows=n, outlier_rate=rate))
+        b = generate_synthetic(small_cfg(n_rows=3 * n, outlier_rate=rate))
+        rows = np.arange(n)
+        outlier = np.zeros(n, dtype=bool)
+        for stream in (ingest._S_OUT_MASK_L, ingest._S_OUT_MASK_R):
+            outlier |= keyed_uniform(3, rows, stream) < rate
+        assert outlier.any()
+        assert np.array_equal(a.rows[~outlier], b.rows[:n][~outlier])
+        assert not np.array_equal(a.rows[outlier], b.rows[:n][outlier])
 
     def test_seed_changes_output(self):
         a = generate_synthetic(small_cfg(seed=1))
@@ -188,3 +214,173 @@ class TestReadCsvErrors:
         p = self._write(tmp_path, "mileage , meters , left_height\n1,2,3\n")
         t = read_csv(p)
         assert t.column_names == ("mileage", "meters", "left_height")
+
+
+class TestAr2Recursion:
+    def test_matches_lfilter_bitwise(self):
+        from scipy.signal import lfilter
+
+        a1, a2 = ingest._AR_COEFFS
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 2, 3, 5000):
+            for scale in (1e-300, 0.05, 1.0, 1e200):
+                x = rng.normal(size=n) * scale
+                want = lfilter([1.0], [1.0, -a1, -a2], x)
+                assert ingest._ar2_series(x).tobytes() == want.tobytes()
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(trackcast.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, trackcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_synth_csv_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "synth.csv"
+        write_csv(generate_synthetic(SynthConfig(n_rows=5000, seed=5)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "758f08fcfed42fc357e6a74deda8c69e6b4ed2c34f6ac76c86f6dd8bf8db2e45"
+
+
+HEADER = "mileage,meters,left_height"
+
+
+def _outcome(reader, path):
+    """Everything a reader returns, bit for bit, or the error it raises."""
+    try:
+        t = reader(path)
+    except Exception as exc:  # the comparison is the point, whatever the type
+        return ("raised", type(exc), str(exc))
+    return ("table", t.column_names, t.rows.shape, t.rows.tobytes(), t.id_columns, t.target_column)
+
+
+def _per_cell(path):
+    return ingest._read_csv_per_cell(path, CsvSchema())
+
+
+def _read_tracking_fallback(path, scan_bytes=ingest._SCAN_BYTES):
+    """read_csv's outcome, and whether it fell back to the per-cell parse.
+    A small ``scan_bytes`` puts chunk boundaries inside lines and "\\r\\n"."""
+    with mock.patch.object(ingest, "_read_csv_per_cell", wraps=ingest._read_csv_per_cell) as spy, \
+            mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+        outcome = _outcome(read_csv, path)
+    return outcome, spy.called
+
+
+class TestBulkReadMatchesPerCell:
+    """read_csv parses in bulk only where that provably equals the
+    per-cell parse; elsewhere it falls back to it."""
+
+    @pytest.mark.parametrize("text, falls_back", [
+        (HEADER + "\n1,2,3\n4,5,6\n", False),
+        (HEADER + "\n1,2,3\n4,5,6", False),  # no final newline
+        (HEADER + "\r\n1,2,3\r\n4,5,6\r\n", False),
+        (HEADER + "\r1,2,3\r4,5,6\r", False),
+        (HEADER + "\n 1 ,\t2\t,3 \n", False),  # padded cells
+        (HEADER + "\n-0.0,5e-324,1.7e308\n", False),
+        (HEADER + "\n1,2,3\n\n4,5,6\n", True),  # blank line
+        (HEADER + "\n1,2,3\n\n", True),  # trailing blank line
+        (HEADER + '\n"1",2,3\n', True),  # quoted cell parses
+        (HEADER + '\n"1,5",2,3\n', True),  # quoted comma
+        (HEADER + ',"x\n1,2,3,4\n', True),  # the body is inside a header cell
+        (HEADER + "\n1,2,3\n#4,5,6\n", True),
+        (HEADER + "\n1,,3\n", True),  # empty cell
+        (HEADER + "\nnan,2,3\n", True),
+        (HEADER + "\n1,-inf,3\n", True),
+        (HEADER + "\n1,2,1e400\n", True),  # overflows to inf
+        (HEADER + "\n1_000,2,3\n", True),  # float() takes it, loadtxt does not
+        (HEADER + "\n\u0661,2,3\n", True),  # so with a non-ASCII digit
+        (HEADER + "\n1\x00,2,3\n", True),
+        (HEADER + "\n1,2,3\n1,2\n", True),  # ragged
+        (HEADER + "\n", True),  # header only
+        (HEADER, True),
+    ])
+    def test_named_cases(self, tmp_path, text, falls_back):
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for scan_bytes in (1, 2, 5, ingest._SCAN_BYTES):
+            outcome, fell_back = _read_tracking_fallback(path, scan_bytes)
+            assert outcome == _outcome(_per_cell, path)
+            assert fell_back == falls_back
+
+    def test_invalid_utf8_past_the_header_chunk(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes((HEADER + "\n" + "1,2,3\n" * 5000).encode() + b"4,\xff,6\n")
+        outcome, fell_back = _read_tracking_fallback(path)
+        assert outcome == _outcome(_per_cell, path)
+        assert fell_back and outcome[1] is UnicodeDecodeError
+
+    def test_cell_past_csv_field_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(HEADER + "\n1.00000000000001,2,3\n")
+        old = csv.field_size_limit(12)
+        try:
+            for scan_bytes in (4, ingest._SCAN_BYTES):
+                outcome, fell_back = _read_tracking_fallback(path, scan_bytes)
+                assert outcome == _outcome(_per_cell, path)
+                assert fell_back and outcome[1] is csv.Error
+        finally:
+            csv.field_size_limit(old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.lists(st.floats(width=64).map(repr), min_size=3, max_size=3),
+                st.lists(
+                    st.one_of(
+                        st.floats(width=64).map(repr),
+                        st.sampled_from(["", " 1.5 ", "1_000", "#", '"3"', '"1,2"', "nan",
+                                         "-Infinity", "1e400", "0x10", "\u0661", "\x00"]),
+                        st.text(alphabet=" \t0123456789.eE+-_#\"x\x00\r\n,", max_size=6),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=6,
+        ),
+        endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
+        final_newline=st.booleans(),
+        scan_bytes=st.sampled_from([1, 2, 3, 7, ingest._SCAN_BYTES]),
+    )
+    def test_differential(self, tmp_path_factory, lines, endings, final_newline, scan_bytes):
+        text = HEADER
+        for cells, end in zip(lines, endings):
+            text += end + ",".join(cells)
+        if final_newline:
+            text += endings[-1]
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_tracking_fallback(path, scan_bytes)[0] == _outcome(_per_cell, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                     1.7e308, -1.7e308, 1.7976931348623157e308]),
+                ),
+                min_size=4, max_size=4,
+            ),
+            min_size=1, max_size=20,
+        )
+    )
+    def test_write_read_round_trip_is_bit_exact(self, tmp_path_factory, rows):
+        table = RawTable(
+            column_names=("mileage", "meters", "left_height", "f1"),
+            rows=np.asarray(rows, dtype=np.float64),
+            id_columns=(0, 1),
+            target_column=2,
+        )
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_csv(table, path)
+        with mock.patch.object(ingest, "_read_csv_per_cell", side_effect=AssertionError):
+            back = read_csv(path)  # written files always take the bulk path
+        assert back.column_names == table.column_names
+        assert back.rows.view(np.uint64).tolist() == table.rows.view(np.uint64).tolist()

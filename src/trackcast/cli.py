@@ -173,7 +173,7 @@ def _arima_order(cfg: dict) -> tuple[int, int, int]:
     if not (isinstance(order, (list, tuple)) and len(order) == 3):
         raise ConfigError("arima_order must be a list [p, d, q]")
     with _section_values("model section: arima_order"):
-        return int(order[0]), int(order[1]), int(order[2])
+        return lin.check_order(*order)
 
 
 def _model_setting(cfg: dict, name: str):
@@ -215,15 +215,30 @@ def _ensemble_settings(cfg: dict, method_override, stack_override):
     }
 
 
-def _split_metrics(predict_fn, split: SplitSet) -> dict:
+def _parts(split: SplitSet):
+    return (("train", split.train), ("val", split.val), ("test", split.test))
+
+
+def _predict_parts(predict_fn, split: SplitSet) -> dict:
+    """``predict_fn(windows)`` for every non-empty part of the split."""
+    return {name: predict_fn(part.windows) for name, part in _parts(split) if part.m}
+
+
+def _metrics_of(preds: dict, split: SplitSet) -> dict:
+    """MSE and MAE of ``preds`` (as ``_predict_parts`` returns them) per
+    part; None for an empty part."""
     out = {}
-    for part_name, part in (("train", split.train), ("val", split.val), ("test", split.test)):
-        if part.m == 0:
-            out[part_name] = None
+    for name, part in _parts(split):
+        if name not in preds:
+            out[name] = None
             continue
-        pair = evaluate_metrics(part.targets, predict_fn(part.windows))
-        out[part_name] = {"mse": pair.mse, "mae": pair.mae}
+        pair = evaluate_metrics(part.targets, preds[name])
+        out[name] = {"mse": pair.mse, "mae": pair.mae}
     return out
+
+
+def _split_metrics(predict_fn, split: SplitSet) -> dict:
+    return _metrics_of(_predict_parts(predict_fn, split), split)
 
 
 def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
@@ -271,15 +286,20 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
             split.val,
             residual_scope=ens_settings["boost_residual_scope"],
         )
+    # one prediction pass per member and part feeds the stacker, the
+    # member metrics and the ensemble metrics
+    cols = _predict_parts(lambda w: ens.member_predictions(model.members, w), split)
     if ens_settings["stack"]:
-        model = ens.with_stacker(model, split.val)
+        model = ens.with_stacker(model, split.val, cols["val"])
     member_metrics = [
-        _split_metrics(lambda w, p=p: net.predict_batch(p, w), split)
-        for p in model.members
+        _metrics_of({part: c[:, j] for part, c in cols.items()}, split)
+        for j in range(len(model.members))
     ]
     entry = {
         "kind": "ensemble",
-        "metrics": _split_metrics(lambda w: ens.ensemble_predict_batch(model, w), split),
+        "metrics": _metrics_of(
+            {part: ens.combine(model.combiner, c) for part, c in cols.items()}, split
+        ),
         "ensemble": {
             "method": model.method,
             "member_count": len(model.members),

@@ -7,9 +7,7 @@ fit on validation data.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,8 +15,6 @@ from .core import WindowedDataset
 from .errors import InvalidArgumentError, NumericDivergenceError
 from .neural import NetworkConfig, NetworkParams, TrainTrace, predict_batch, train
 from .rng import derive_seed
-
-THREADS_ENV_VAR = "TRACKCAST_THREADS"
 
 _COND_LIMIT = 1e12
 _METHODS = ("bagging", "boosting")
@@ -74,22 +70,6 @@ class EnsembleModel:
         object.__setattr__(self, "members", tuple(self.members))
 
 
-def thread_cap() -> int:
-    """Worker-thread cap from the environment; 1 when unset."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise InvalidArgumentError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
 def bootstrap_sample(ds: WindowedDataset, n_prime: int, seed: int) -> WindowedDataset:
     """Uniform with-replacement resample of n_prime windows."""
     if ds.m == 0:
@@ -139,24 +119,12 @@ def train_bagging(
     m: int,
     ds: WindowedDataset,
     val_ds: WindowedDataset,
-    max_workers: int | None = None,
 ) -> EnsembleModel:
-    """m independently seeded members on m bootstrap resamples, mean
-    combined.  Members may train concurrently; results are ordered and
-    deterministic either way."""
+    """m independently seeded members on m bootstrap resamples, trained
+    one after another and mean combined."""
     if int(m) < 1:
         raise InvalidArgumentError("member count must be positive")
-    m = int(m)
-    workers = thread_cap() if max_workers is None else int(max_workers)
-    if workers > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, m)) as pool:
-            futures = [
-                pool.submit(_train_bagging_member, cfg, i, ds, val_ds)
-                for i in range(m)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_train_bagging_member(cfg, i, ds, val_ds) for i in range(m)]
+    results = [_train_bagging_member(cfg, i, ds, val_ds) for i in range(int(m))]
     members = tuple(r[0] for r in results)
     traces = tuple(r[1] for r in results)
     retried = tuple(i for i, r in enumerate(results) if r[2])
@@ -261,36 +229,38 @@ def _stacker_from_predictions(preds: np.ndarray, targets: np.ndarray) -> Combine
     )
 
 
-def fit_stacker(members, val_ds: WindowedDataset) -> Combiner:
-    """Fit the linear stacking combiner on validation data."""
+def fit_stacker(members, val_ds: WindowedDataset, val_preds=None) -> Combiner:
+    """Fit the linear stacking combiner on validation data.
+
+    ``val_preds``, when given, must be
+    ``member_predictions(members, val_ds.windows)``; passing columns
+    already computed saves a second prediction pass.
+    """
     if len(members) < 1:
         raise InvalidArgumentError("stacker needs at least one member")
     if val_ds.m == 0:
         raise InvalidArgumentError("stacker needs a non-empty validation set")
-    preds = member_predictions(members, val_ds.windows)
-    return _stacker_from_predictions(preds, np.asarray(val_ds.targets, dtype=np.float64))
+    if val_preds is None:
+        val_preds = member_predictions(members, val_ds.windows)
+    return _stacker_from_predictions(val_preds, np.asarray(val_ds.targets, dtype=np.float64))
 
 
-def with_stacker(model: EnsembleModel, val_ds: WindowedDataset) -> EnsembleModel:
-    """Same members, stacked combiner."""
-    combiner = fit_stacker(model.members, val_ds)
-    return EnsembleModel(
-        members=model.members,
-        combiner=combiner,
-        method=model.method,
-        boost_threshold=model.boost_threshold,
-        member_traces=model.member_traces,
-        boost_trace=model.boost_trace,
-        retried_members=model.retried_members,
-    )
+def with_stacker(model: EnsembleModel, val_ds: WindowedDataset, val_preds=None) -> EnsembleModel:
+    """Same members, stacked combiner; ``val_preds`` as in ``fit_stacker``."""
+    return replace(model, combiner=fit_stacker(model.members, val_ds, val_preds))
+
+
+def combine(combiner: Combiner, preds: np.ndarray) -> np.ndarray:
+    """The ensemble prediction from member prediction columns (column j
+    holds member j's predictions, as ``member_predictions`` returns)."""
+    if combiner.kind == "mean":
+        return preds.mean(axis=1)
+    w = np.asarray(combiner.weights, dtype=np.float64)
+    return preds @ w + combiner.bias
 
 
 def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray) -> np.ndarray:
-    preds = member_predictions(model.members, windows)
-    if model.combiner.kind == "mean":
-        return preds.mean(axis=1)
-    w = np.asarray(model.combiner.weights, dtype=np.float64)
-    return preds @ w + model.combiner.bias
+    return combine(model.combiner, member_predictions(model.members, windows))
 
 
 def ensemble_predict(model: EnsembleModel, window: np.ndarray) -> float:

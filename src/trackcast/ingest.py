@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ def read_csv(path, schema: CsvSchema = CsvSchema()) -> RawTable:
     every value is finite.  Any other file goes through the
     cell-by-cell parse, which raises the positioned errors.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _typed_read_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
         header = _read_header(csv.reader(fh), path, schema)
     data_lines = _plain_data_line_count(path)
     if data_lines:
@@ -136,6 +137,18 @@ def read_csv(path, schema: CsvSchema = CsvSchema()) -> RawTable:
             if rows.shape == (data_lines, len(header)) and np.isfinite(rows).all():
                 return _raw_table(header, rows, schema)
     return _read_csv_per_cell(path, schema)
+
+
+@contextmanager
+def _typed_read_errors(path):
+    """Report bytes that are not UTF-8, and csv's own errors (a cell past
+    its field limit), as DataFormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: malformed CSV: {exc}") from None
 
 
 def _read_header(reader, path, schema: CsvSchema) -> list[str]:
@@ -190,7 +203,7 @@ def _plain_data_line_count(path) -> int | None:
 
 def _read_csv_per_cell(path, schema: CsvSchema) -> RawTable:
     """The reference parse: one ``float()`` per cell, errors positioned."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _typed_read_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path, schema)
         width = len(header)

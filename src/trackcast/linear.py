@@ -282,6 +282,18 @@ def _css_and_grad(vec, p, q, z, zy, xt, x_last):
     return css, np.concatenate(([g_c], g_phi, g_theta, g_beta))
 
 
+def check_order(p, d, q) -> tuple[int, int, int]:
+    """The ARIMA order (p, d, q) as ints, checked for the ranges every
+    fit needs: no negative entry and d at most 2.  The checks against
+    the window length stay in ``fit_arimax``."""
+    p, d, q = int(p), int(d), int(q)
+    if p < 0 or d < 0 or q < 0:
+        raise InvalidArgumentError("orders must be non-negative")
+    if d > 2:
+        raise InvalidArgumentError("differencing degree is capped at 2")
+    return p, d, q
+
+
 def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     """Two-stage fit: regression-based initialization, then gradient
     refinement of the conditional sum of squared one-step errors.
@@ -296,11 +308,7 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     consecutive full rejections abandon refinement and return the
     stage-one estimate with a warning flag.
     """
-    p, d, q = int(p), int(d), int(q)
-    if p < 0 or d < 0 or q < 0:
-        raise InvalidArgumentError("orders must be non-negative")
-    if d > 2:
-        raise InvalidArgumentError("differencing degree is capped at 2")
+    p, d, q = check_order(p, d, q)
     if ds.l <= p + d:
         raise InvalidArgumentError(
             f"window length {ds.l} must exceed p + d = {p + d}"

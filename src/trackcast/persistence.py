@@ -10,6 +10,7 @@ of the same config differ only there.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -194,6 +195,12 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """Read an artifact back into the model object it was saved from.
+
+    A damaged artifact raises IntegrityError (UnsupportedVersionError for
+    an unknown format version or model kind), whatever part is damaged:
+    magic, lengths, checksum, or a manifest with missing, wrong-typed or
+    inconsistent fields."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -203,6 +210,16 @@ def load_model(path):
         raise UnsupportedVersionError(
             f"artifact format version {version} is not supported (expected {FORMAT_VERSION})"
         )
+    try:
+        return _model_from_blob(blob)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers InvalidArgumentError from the model constructors
+        raise IntegrityError(
+            f"inconsistent artifact manifest: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _model_from_blob(blob: bytes):
     header_len = int.from_bytes(blob[8:16], "little")
     if len(blob) < 16 + header_len:
         raise IntegrityError("truncated artifact header")
@@ -222,8 +239,9 @@ def load_model(path):
     offset = 0
     for entry in header["arrays"]:
         shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        if any(s < 0 for s in shape):
+            raise IntegrityError(f"array {entry['name']!r} has a negative dimension")
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise IntegrityError(f"array {entry['name']!r} exceeds payload")
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)

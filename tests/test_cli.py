@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from trackcast import cli
 from trackcast.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -11,8 +12,12 @@ from trackcast.cli import (
     EXIT_OK,
     main,
 )
-from trackcast.ensemble import EnsembleModel, THREADS_ENV_VAR
-from trackcast.persistence import load_model
+from trackcast.core import evaluate_metrics
+from trackcast.ensemble import EnsembleModel, ensemble_predict_batch
+from trackcast.ingest import read_csv
+from trackcast.neural import predict_batch
+from trackcast.persistence import _sig6, load_model
+from trackcast.preprocess import PreprocessConfig, run_preprocess
 
 
 def write_config(directory, body):
@@ -116,6 +121,13 @@ class TestConfigValidatedBeforeData:
         assert code == EXIT_CONFIG
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("order", [[-1, 0, 0], [1, 3, 0]])
+    def test_arima_order_out_of_range(self, cli_workspace, tmp_path, order):
+        code, out_dir = self._run(cli_workspace, tmp_path, "model",
+                                  {"arima_order": order}, "--models", "lr,arima")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
     def test_bad_residual_scope(self, cli_workspace, tmp_path):
         code, out_dir = self._run(cli_workspace, tmp_path, "ensemble",
                                   {"boost_residual_scope": "all"},
@@ -161,6 +173,20 @@ class TestIoErrors:
         code = main(["run", "--config", cli_workspace["config"],
                      "--data", str(bad), "--out-dir", str(tmp_path)])
         assert code == EXIT_IO
+
+
+    def test_undecodable_byte_in_body(self, cli_workspace, tmp_path, capsys):
+        bad = tmp_path / "bytes.csv"
+        with open(cli_workspace["data"], "rb") as fh:
+            blob = fh.read()
+        # a 0xff byte at the start of the last data line, well past the header
+        cut = blob.rindex(b"\n", 0, len(blob) - 1) + 1
+        bad.write_bytes(blob[:cut] + b"\xff" + blob[cut:])
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", cli_workspace["config"],
+                     "--data", str(bad), "--out-dir", str(out_dir)])
+        assert code == EXIT_IO
+        assert "not valid UTF-8" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -237,6 +263,41 @@ class TestRun:
         assert isinstance(model, EnsembleModel)
         assert len(model.members) == 2
 
+    def test_stacked_metrics_match_the_saved_artifact(self, cli_workspace, tmp_path):
+        # member and ensemble metrics come from one prediction pass per
+        # member and part; they must equal fresh predictions of the artifact
+        cfg = dict(cli_workspace["config_dict"])
+        cfg["ensemble"] = {"method": "bagging", "members": 2, "stack": True}
+        path = write_config(tmp_path, cfg)
+        code, out_dir = run_cli(cli_workspace, tmp_path, "--models", "gru", config=path)
+        assert code == EXIT_OK
+        block = read_report(out_dir)["models"]["gru"]
+        assert block["ensemble"]["combiner"]["kind"] == "stacker"
+        model = load_model(out_dir / "gru.tckm")
+        split, _ = run_preprocess(read_csv(cli_workspace["data"]), PreprocessConfig(window_width=8))
+
+        def rounded(targets, preds):
+            pair = evaluate_metrics(targets, preds)
+            return {"mse": _sig6(pair.mse), "mae": _sig6(pair.mae)}
+
+        for name, part in (("train", split.train), ("val", split.val), ("test", split.test)):
+            assert block["metrics"][name] == rounded(
+                part.targets, ensemble_predict_batch(model, part.windows))
+            for j, member in enumerate(model.members):
+                assert block["ensemble"]["member_metrics"][j][name] == rounded(
+                    part.targets, predict_batch(member, part.windows))
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_ensemble_metrics_equal_ensemble_predict_batch_bitwise(self, small_split, stack):
+        net_cfg = cli._network_config({"model": {"hidden_size": 4}, "train": {"max_epochs": 1}}, "lstm")
+        settings = {"method": "bagging", "members": 2, "stack": stack}
+        entry, model = cli._train_one_model("lstm", net_cfg, small_split, settings)
+        assert entry["ensemble"]["combiner"]["kind"] == ("stacker" if stack else "mean")
+        for name in ("train", "val", "test"):
+            part = getattr(small_split, name)
+            pair = evaluate_metrics(part.targets, ensemble_predict_batch(model, part.windows))
+            assert entry["metrics"][name] == {"mse": pair.mse, "mae": pair.mae}
+
     def test_ensemble_does_not_wrap_linear_models(self, cli_workspace, tmp_path):
         code, out_dir = run_cli(cli_workspace, tmp_path, "--ensemble", "bagging")
         assert code == EXIT_OK
@@ -298,14 +359,6 @@ class TestRun:
         r1.pop("timings")
         r2.pop("timings")
         assert r1 == r2
-
-    def test_bad_thread_cap_is_config_error(self, cli_workspace, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "nope")
-        cfg = dict(cli_workspace["config_dict"])
-        cfg["ensemble"] = {"method": "bagging", "members": 2}
-        path = write_config(tmp_path, cfg)
-        code, _ = run_cli(cli_workspace, tmp_path, "--models", "cnn", config=path)
-        assert code == EXIT_CONFIG
 
 
 class TestFilterSweep:

@@ -7,14 +7,12 @@ from trackcast import ensemble as ens
 from trackcast.ensemble import (
     Combiner,
     EnsembleModel,
-    THREADS_ENV_VAR,
     _stacker_from_predictions,
     bootstrap_sample,
     ensemble_predict,
     ensemble_predict_batch,
     fit_stacker,
     member_predictions,
-    thread_cap,
     train_bagging,
     train_boosting,
     with_stacker,
@@ -41,22 +39,6 @@ def fast_cfg(**kw):
 
 def some_params(seed=0, n=3, l=5):
     return init_params(fast_cfg(seed=seed), n, l)
-
-
-class TestThreadCap:
-    def test_unset_means_one(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert thread_cap() == 1
-
-    def test_parses_positive_integer(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert thread_cap() == 4
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-    def test_rejects_bad_values(self, monkeypatch, raw):
-        monkeypatch.setenv(THREADS_ENV_VAR, raw)
-        with pytest.raises(InvalidArgumentError):
-            thread_cap()
 
 
 class TestBootstrap:
@@ -127,28 +109,10 @@ class TestBagging:
         for a, b in zip(m1.members, m2.members):
             for k in a.tensors:
                 assert np.array_equal(a.tensors[k], b.tensors[k])
+        assert m1.member_traces == m2.member_traces
         # differently seeded members cannot coincide
         t0, t1 = m1.members[0].tensors, m1.members[1].tensors
         assert any(not np.array_equal(t0[k], t1[k]) for k in t0)
-
-    def test_parallel_matches_sequential(self):
-        tr, va = make_ds(), make_ds(m=8, seed=9)
-        seq = train_bagging(fast_cfg(), 3, tr, va, max_workers=1)
-        par = train_bagging(fast_cfg(), 3, tr, va, max_workers=2)
-        for a, b in zip(seq.members, par.members):
-            for k in a.tensors:
-                assert np.array_equal(a.tensors[k], b.tensors[k])
-        assert seq.member_traces == par.member_traces
-
-    def test_env_cap_used_when_workers_unspecified(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        tr, va = make_ds(), make_ds(m=8, seed=9)
-        capped = train_bagging(fast_cfg(), 2, tr, va)
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        plain = train_bagging(fast_cfg(), 2, tr, va)
-        for a, b in zip(capped.members, plain.members):
-            for k in a.tensors:
-                assert np.array_equal(a.tensors[k], b.tensors[k])
 
     def test_member_count_validated(self):
         with pytest.raises(InvalidArgumentError):

@@ -239,6 +239,17 @@ class TestAr2Recursion:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_cli_import_leaves_out_scipy(self):
+        src = os.path.dirname(os.path.dirname(trackcast.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, trackcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
     def test_synth_csv_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "synth.csv"
         write_csv(generate_synthetic(SynthConfig(n_rows=5000, seed=5)), path)
@@ -312,7 +323,8 @@ class TestBulkReadMatchesPerCell:
         path.write_bytes((HEADER + "\n" + "1,2,3\n" * 5000).encode() + b"4,\xff,6\n")
         outcome, fell_back = _read_tracking_fallback(path)
         assert outcome == _outcome(_per_cell, path)
-        assert fell_back and outcome[1] is UnicodeDecodeError
+        assert fell_back and outcome[1] is DataFormatError
+        assert "not valid UTF-8" in outcome[2]
 
     def test_cell_past_csv_field_limit(self, tmp_path):
         path = tmp_path / "long.csv"
@@ -322,7 +334,8 @@ class TestBulkReadMatchesPerCell:
             for scan_bytes in (4, ingest._SCAN_BYTES):
                 outcome, fell_back = _read_tracking_fallback(path, scan_bytes)
                 assert outcome == _outcome(_per_cell, path)
-                assert fell_back and outcome[1] is csv.Error
+                assert fell_back and outcome[1] is DataFormatError
+                assert "field larger than field limit" in outcome[2]
         finally:
             csv.field_size_limit(old)
 

@@ -18,6 +18,7 @@ from trackcast.neural import (
     regularized_tensor_names,
     train,
 )
+from trackcast import neural
 
 ARCHS = ("lstm", "gru", "cnn")
 
@@ -125,6 +126,18 @@ class TestForward:
         singles = np.array([forward(p, w) for w in ds.windows])
         assert np.allclose(batch, singles, atol=1e-12)
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_chunk_boundaries_match_single(self, arch):
+        # predict_batch runs the forward on chunks of _PREDICT_CHUNK windows
+        assert neural._PREDICT_CHUNK == 4096
+        ds = make_ds(m=8193, l=4, n=2)
+        p = init_params(small_cfg(arch, kernel_width=2), ds.n, ds.l)
+        singles = np.array([forward(p, w) for w in ds.windows])
+        for m in (4095, 4096, 4097, 8193):
+            batch = predict_batch(p, ds.windows[:m])
+            assert batch.shape == (m,)
+            assert batch == pytest.approx(singles[:m], rel=1e-12)
+
     def test_empty_batch(self):
         p = init_params(small_cfg("gru"), 3, 5)
         out = predict_batch(p, np.empty((0, 5, 3)))
@@ -136,6 +149,25 @@ class TestForward:
             predict_batch(p, np.zeros((2, 5, 4)))
         with pytest.raises(InvalidArgumentError):
             predict_batch(p, np.zeros((2, 6, 3)))
+
+
+class TestSigmoid:
+    def test_matches_logistic_function(self):
+        x = np.linspace(-40.0, 40.0, 160001)
+        want = 1.0 / (1.0 + np.exp(-x))
+        assert np.max(np.abs(neural._sigmoid(x) - want)) <= 1e-15
+
+    def test_extremes_stay_finite_and_in_range(self):
+        out = neural._sigmoid(np.array([-1e308, -710.0, 0.0, 710.0, 1e308]))
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_leaves_its_input_alone(self):
+        a = np.array([[-1.0, 2.0], [3.0, -4.0]])
+        before = a.copy()
+        neural._sigmoid(a)
+        assert np.array_equal(a, before)
 
 
 class TestLoss:

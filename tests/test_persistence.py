@@ -1,7 +1,12 @@
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackcast.core import WindowedDataset
 from trackcast.ensemble import (
@@ -252,6 +257,124 @@ class TestIntegrity:
         edit_header(artifact, mutate)
         with pytest.raises(IntegrityError, match="trailing"):
             load_model(artifact)
+
+
+    def test_missing_meta_field(self, artifact):
+        edit_header(artifact, lambda h: h["meta"].pop("n_features"))
+        with pytest.raises(IntegrityError, match="KeyError"):
+            load_model(artifact)
+
+    def test_negative_array_shape(self, artifact):
+        def mutate(h):
+            h["arrays"][0]["shape"] = [-1]
+        edit_header(artifact, mutate)
+        with pytest.raises(IntegrityError, match="negative"):
+            load_model(artifact)
+
+    def test_wrong_typed_meta_field(self, artifact):
+        edit_header(artifact, lambda h: h["meta"].update(n_features=[3]))
+        with pytest.raises(IntegrityError, match="TypeError"):
+            load_model(artifact)
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_blobs() -> tuple[bytes, ...]:
+    """One saved artifact of every model kind."""
+    ds = make_ds(m=24, l=5)
+    members = tuple(init_params(fast_cfg(seed=s), ds.n, ds.l) for s in (1, 2))
+    models = (
+        fit_linear(ds),
+        fit_arimax(ds, 1, 0, 1),
+        init_params(fast_cfg(arch="lstm", hidden_size=3), ds.n, ds.l),
+        EnsembleModel(
+            members=members,
+            combiner=Combiner(kind="stacker", weights=(0.25, 0.75), bias=0.5),
+            method="boosting",
+            boost_threshold=0.2,
+        ),
+    )
+    blobs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, model in enumerate(models):
+            path = os.path.join(tmp, f"{k}.tckm")
+            save_model(model, path)
+            with open(path, "rb") as fh:
+                blobs.append(fh.read())
+    return tuple(blobs)
+
+
+def _load_damaged(blob: bytes) -> None:
+    """Load a damaged artifact; only the two documented errors may escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "damaged.tckm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_model(path)
+        except (IntegrityError, UnsupportedVersionError):
+            pass
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every node in a decoded JSON tree, root first."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=5,
+)
+
+
+class TestCorruptionFuzz:
+    """Byte flips, truncations and manifest edits of saved artifacts end
+    in IntegrityError or UnsupportedVersionError, or load."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(which=st.integers(0, 3),
+           flips=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+                          min_size=1, max_size=3))
+    def test_byte_flips(self, which, flips):
+        blob = bytearray(_saved_blobs()[which])
+        for where, mask in flips:
+            blob[int(where * len(blob))] ^= mask
+        _load_damaged(bytes(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.integers(0, 3), keep=st.floats(0, 1, exclude_max=True))
+    def test_truncations(self, which, keep):
+        blob = _saved_blobs()[which]
+        _load_damaged(blob[: int(keep * len(blob))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.integers(0, 3), delete=st.booleans())
+    def test_manifest_edits(self, data, which, delete):
+        blob = _saved_blobs()[which]
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + header_len])
+        path = data.draw(st.sampled_from(list(_json_paths(header))))
+        if not path:
+            header = data.draw(_JSON_VALUES)
+        else:
+            parent = header
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+        _load_damaged(blob[:8] + len(new_header).to_bytes(8, "little")
+                      + new_header + blob[16 + header_len :])
 
 
 class TestMetricRounding:

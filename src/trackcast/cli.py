@@ -298,7 +298,12 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
     entry = {
         "kind": "ensemble",
         "metrics": _metrics_of(
-            {part: ens.combine(model.combiner, c) for part, c in cols.items()}, split
+            {
+                name: ens.ensemble_predict_batch(model, part.windows, cols[name])
+                for name, part in _parts(split)
+                if name in cols
+            },
+            split,
         ),
         "ensemble": {
             "method": model.method,

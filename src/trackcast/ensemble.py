@@ -250,17 +250,18 @@ def with_stacker(model: EnsembleModel, val_ds: WindowedDataset, val_preds=None) 
     return replace(model, combiner=fit_stacker(model.members, val_ds, val_preds))
 
 
-def combine(combiner: Combiner, preds: np.ndarray) -> np.ndarray:
-    """The ensemble prediction from member prediction columns (column j
-    holds member j's predictions, as ``member_predictions`` returns)."""
-    if combiner.kind == "mean":
+def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray, member_preds=None) -> np.ndarray:
+    """Combined prediction for a stack of windows.
+
+    ``member_preds``, when given, must be
+    ``member_predictions(model.members, windows)``; passing columns
+    already computed saves a second prediction pass.
+    """
+    preds = member_predictions(model.members, windows) if member_preds is None else member_preds
+    if model.combiner.kind == "mean":
         return preds.mean(axis=1)
-    w = np.asarray(combiner.weights, dtype=np.float64)
-    return preds @ w + combiner.bias
-
-
-def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray) -> np.ndarray:
-    return combine(model.combiner, member_predictions(model.members, windows))
+    w = np.asarray(model.combiner.weights, dtype=np.float64)
+    return preds @ w + model.combiner.bias
 
 
 def ensemble_predict(model: EnsembleModel, window: np.ndarray) -> float:

@@ -23,9 +23,6 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _ARCHS = ("lstm", "gru", "cnn")
 
-# windows per forward pass in inference; bounds the size of intermediates
-_PREDICT_CHUNK = 4096
-
 _LSTM_GATES = ("i", "f", "o", "g")
 _GRU_GATES = ("z", "r", "h")
 
@@ -316,17 +313,13 @@ predict = forward
 
 def predict_batch(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
     """Predictions for a stack of windows; equals per-window prediction
-    elementwise.  The forward runs on chunks of ``_PREDICT_CHUNK``
-    windows, so a whole split never builds its intermediates at once."""
+    elementwise."""
     x = np.asarray(windows, dtype=np.float64)
     _check_batch(params, x)
     if x.shape[0] == 0:
         return np.empty(0)
-    fwd = _FORWARD[params.arch]
-    return np.concatenate([
-        fwd(params, x[start : start + _PREDICT_CHUNK], need_cache=False)[0]
-        for start in range(0, x.shape[0], _PREDICT_CHUNK)
-    ])
+    preds, _ = _FORWARD[params.arch](params, x, need_cache=False)
+    return preds
 
 
 def _penalty(params: NetworkParams, l2_lambda: float) -> float:
@@ -453,7 +446,7 @@ class EarlyStopper:
         return improved, self._streak >= self.patience
 
 
-def dataset_mse(params: NetworkParams, ds: WindowedDataset, chunk: int = _PREDICT_CHUNK) -> float:
+def dataset_mse(params: NetworkParams, ds: WindowedDataset, chunk: int = 4096) -> float:
     """Plain MSE of the network over a windowed dataset."""
     if ds.m == 0:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")

@@ -343,6 +343,18 @@ class TestPredict:
         cols = member_predictions(members, ds.windows)
         assert np.allclose(out, cols @ np.array([0.25, 0.7]) - 0.1, atol=1e-15)
 
+    @pytest.mark.parametrize("combiner", [
+        Combiner(kind="mean"),
+        Combiner(kind="stacker", weights=(0.25, 0.7), bias=-0.1),
+    ])
+    def test_precomputed_member_columns(self, combiner):
+        members = (some_params(0), some_params(1))
+        model = EnsembleModel(members=members, combiner=combiner, method="bagging")
+        ds = make_ds(m=6)
+        cols = member_predictions(members, ds.windows)
+        assert np.array_equal(ensemble_predict_batch(model, ds.windows, cols),
+                              ensemble_predict_batch(model, ds.windows))
+
     def test_single_window_matches_batch(self):
         members = (some_params(0), some_params(1))
         model = EnsembleModel(members=members, combiner=Combiner(kind="mean"),

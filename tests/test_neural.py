@@ -126,18 +126,6 @@ class TestForward:
         singles = np.array([forward(p, w) for w in ds.windows])
         assert np.allclose(batch, singles, atol=1e-12)
 
-    @pytest.mark.parametrize("arch", ARCHS)
-    def test_chunk_boundaries_match_single(self, arch):
-        # predict_batch runs the forward on chunks of _PREDICT_CHUNK windows
-        assert neural._PREDICT_CHUNK == 4096
-        ds = make_ds(m=8193, l=4, n=2)
-        p = init_params(small_cfg(arch, kernel_width=2), ds.n, ds.l)
-        singles = np.array([forward(p, w) for w in ds.windows])
-        for m in (4095, 4096, 4097, 8193):
-            batch = predict_batch(p, ds.windows[:m])
-            assert batch.shape == (m,)
-            assert batch == pytest.approx(singles[:m], rel=1e-12)
-
     def test_empty_batch(self):
         p = init_params(small_cfg("gru"), 3, 5)
         out = predict_batch(p, np.empty((0, 5, 3)))

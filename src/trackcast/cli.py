@@ -168,22 +168,27 @@ def _network_config(cfg: dict, arch: str) -> net.NetworkConfig:
         )
 
 
-def _arima_order(cfg: dict) -> tuple[int, int, int]:
+def _arima_order(cfg: dict, window_len: int) -> tuple[int, int, int]:
     order = cfg.get("model", {}).get("arima_order", [2, 0, 0])
     if not (isinstance(order, (list, tuple)) and len(order) == 3):
         raise ConfigError("arima_order must be a list [p, d, q]")
     with _section_values("model section: arima_order"):
-        return lin.check_order(*order)
+        return lin.check_order(*order, window_len)
 
 
-def _model_setting(cfg: dict, name: str):
+def _model_setting(cfg: dict, name: str, window_len: int):
     """What training model ``name`` needs besides the data: the ARIMA
-    order, the network config, or nothing for ``lr``."""
+    order, the network config, or nothing for ``lr``; checked against
+    the window length the preprocessing will cut."""
     if name == "lr":
         return None
     if name == "arima":
-        return _arima_order(cfg)
-    return _network_config(cfg, name)
+        return _arima_order(cfg, window_len)
+    net_cfg = _network_config(cfg, name)
+    if name == "cnn" and net_cfg.kernel_width >= int(window_len):
+        raise ConfigError(f"model section: kernel_width {net_cfg.kernel_width}"
+                          f" must be smaller than window_width {window_len}")
+    return net_cfg
 
 
 def _ensemble_settings(cfg: dict, method_override, stack_override):
@@ -368,9 +373,9 @@ def _read_data(path, schema: CsvSchema, timings: dict):
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     models = _model_list(cfg, args.models)
-    settings = {name: _model_setting(cfg, name) for name in models}
-    ens_settings = _ensemble_settings(cfg, args.ensemble, args.stack)
     pre_cfg = _preprocess_config(cfg)
+    settings = {name: _model_setting(cfg, name, pre_cfg.window_width) for name in models}
+    ens_settings = _ensemble_settings(cfg, args.ensemble, args.stack)
     filter_cfg = _filter_config(cfg, args.filter_proportion)
     schema = _schema(cfg)
 
@@ -441,9 +446,9 @@ def cmd_filter_sweep(args) -> int:
     proportions = _parse_proportions(args.proportions)
     models = _model_list(cfg, None)
     swept_model = models[0]
-    setting = _model_setting(cfg, swept_model)
-    ens_settings = _ensemble_settings(cfg, None, None)
     pre_cfg = _preprocess_config(cfg)
+    setting = _model_setting(cfg, swept_model, pre_cfg.window_width)
+    ens_settings = _ensemble_settings(cfg, None, None)
     base_filter = _filter_config(cfg, None) or FilterConfig()
     schema = _schema(cfg)
 

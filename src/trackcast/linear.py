@@ -21,10 +21,10 @@ from .errors import IllPosedError, InvalidArgumentError
 
 _RIDGE = 1e-8
 _COND_LIMIT = 1e12
-_REFINE_ITERS = 200
-_REFINE_LR = 1e-3
-_REFINE_HALVINGS = 20
-_REFINE_MAX_REJECTS = 10
+_LM_DAMPING = 1e-3
+_LM_MAX_DAMPING = 1e16
+_LM_MAX_EVALS = 100
+_LM_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,16 @@ class ArimaxModel:
 
 
 def _window_diff_parts(ds: WindowedDataset, d: int):
-    """Differenced in-window series, differenced responses, and aligned
-    exogenous rows for every window."""
+    """Differenced in-window series (time-major, one row of m windows per
+    position), differenced responses, and aligned exogenous rows for
+    every window."""
     tf = ds.target_feature
     exog = _exog_indices(ds.n, tf)
     series = np.concatenate(
         [ds.windows[:, :, tf], ds.targets[:, None]], axis=1
     )  # (m, l+1)
     diffed = np.diff(series, n=d, axis=1) if d else series
-    z = diffed[:, :-1]
+    z = np.ascontiguousarray(diffed[:, :-1].T)
     zy = diffed[:, -1]
     xt = ds.windows[:, d:, exog] if exog else np.zeros((ds.m, ds.l - d, 0))
     x_last = ds.windows[:, -1, exog] if exog else np.zeros((ds.m, 0))
@@ -205,151 +206,177 @@ def _window_diff_parts(ds: WindowedDataset, d: int):
 def _arimax_forward(c, phi, theta, beta, z, xt, x_last):
     """Residual recursion and one-step forecast, vectorized over windows.
 
-    The recursion starts at t = p (earlier residuals are zero) and uses
-    each position's own exogenous row; the final forecast uses the
-    newest available row's features.
+    ``z`` is time-major, shape (L, m).  The recursion starts at t = p
+    (earlier residuals are zero) and uses each position's own exogenous
+    row; the final forecast uses the newest available row's features.
+    Returns the forecasts and the (L, m) residuals.
     """
-    m, big_l = z.shape
+    big_l, m = z.shape
     p, q = phi.shape[0], theta.shape[0]
-    eps = np.zeros((m, big_l))
-    ex = xt @ beta if beta.size else np.zeros((m, big_l))
+    eps = np.zeros((big_l, m))
+    ex = np.ascontiguousarray((xt @ beta).T) if beta.size else np.zeros((big_l, m))
     for t in range(p, big_l):
-        pred = c + ex[:, t]
+        pred = c + ex[t]
         for i in range(1, p + 1):
-            pred = pred + phi[i - 1] * z[:, t - i]
+            pred = pred + phi[i - 1] * z[t - i]
         for j in range(1, min(q, t) + 1):
-            pred = pred + theta[j - 1] * eps[:, t - j]
-        eps[:, t] = z[:, t] - pred
+            pred = pred + theta[j - 1] * eps[t - j]
+        eps[t] = z[t] - pred
     zhat = np.full(m, c)
     if beta.size:
         zhat = zhat + x_last @ beta
     for i in range(1, p + 1):
-        zhat = zhat + phi[i - 1] * z[:, big_l - i]
+        zhat = zhat + phi[i - 1] * z[big_l - i]
     for j in range(1, q + 1):
-        if big_l - j >= 0:
-            zhat = zhat + theta[j - 1] * eps[:, big_l - j]
+        zhat = zhat + theta[j - 1] * eps[big_l - j]
     return zhat, eps
-
-
-def _pack(c, phi, theta, beta):
-    return np.concatenate(([c], phi, theta, beta))
 
 
 def _unpack(vec, p, q):
     return float(vec[0]), vec[1 : 1 + p], vec[1 + p : 1 + p + q], vec[1 + p + q :]
 
 
-def _css_value(vec, p, q, z, zy, xt, x_last) -> float:
+def _css_parts(vec, p, q, z, zy, xt, x_last):
+    """Conditional sum of squares, forecast residuals and in-window
+    residuals at the packed parameters ``vec``."""
     c, phi, theta, beta = _unpack(vec, p, q)
-    zhat, _ = _arimax_forward(c, phi, theta, beta, z, xt, x_last)
-    r = zy - zhat
-    return float(r @ r)
-
-
-def _css_and_grad(vec, p, q, z, zy, xt, x_last):
-    """Conditional sum of squares and its gradient via reverse
-    accumulation through the residual recursion."""
-    c, phi, theta, beta = _unpack(vec, p, q)
-    m, big_l = z.shape
     zhat, eps = _arimax_forward(c, phi, theta, beta, z, xt, x_last)
     r = zy - zhat
-    css = float(r @ r)
-    dz = -2.0 * r  # dCSS/dzhat
-    g_c = float(dz.sum())
-    g_phi = np.array([float(dz @ z[:, big_l - i]) for i in range(1, p + 1)])
-    g_theta = np.zeros(q)
-    g_beta = x_last.T @ dz if beta.size else np.zeros(0)
-    adj = np.zeros((m, big_l))
+    return float(r @ r), r, eps
+
+
+def _residual_jacobian(vec, p, q, z, eps, xt, x_last) -> np.ndarray:
+    """d r / d vec for the forecast residuals r = zy - zhat, shape (k, m),
+    by forward-mode accumulation through the residual recursion.
+
+    The forecast residual is the recursion's step t = L, and every step
+    t = p..L obeys D_t = -(G_t + sum_j theta_j D_{t-j}), with D_t = 0
+    for t < p, where G_t holds step t's regressors (1, z lags, eps lags,
+    exogenous row).  theta is shared by all windows, so accumulating
+    forward gives D_L = -sum_s psi_{L-s} G_s with scalar weights psi,
+    the MA filter's impulse response: psi_0 = 1,
+    psi_n = -sum_j theta_j psi_{n-j}.
+    """
+    big_l, m = z.shape
+    theta = vec[1 + p : 1 + p + q]
+    psi = np.ones(big_l - p + 1)
+    for n in range(1, psi.shape[0]):
+        psi[n] = -sum(theta[j - 1] * psi[n - j] for j in range(1, min(q, n) + 1))
+    w = psi[::-1].copy()  # weight of step s = p..L
+    eps_lags = np.vstack([np.zeros((q, m)), eps])  # row s + q holds eps_s
+    jac = np.empty((vec.shape[0], m))
+    jac[0] = w.sum()
+    for i in range(1, p + 1):
+        jac[i] = w @ z[p - i : big_l + 1 - i]
     for j in range(1, q + 1):
-        t = big_l - j
-        if t >= 0:
-            g_theta[j - 1] += float(dz @ eps[:, t])
-            if t >= p:
-                adj[:, t] += dz * theta[j - 1]
-    for t in range(big_l - 1, p - 1, -1):
-        at = adj[:, t]
-        if not at.any():
+        jac[p + j] = w @ eps_lags[p - j + q : big_l - j + q + 1]
+    jac[1 + p + q :] = xt[:, p:, :].transpose(2, 0, 1) @ w[:-1] + w[-1] * x_last.T
+    return np.negative(jac, out=jac)
+
+
+def _refine_css(vec, parts, p, q, z, zy, xt, x_last):
+    """Levenberg–Marquardt (damped Gauss–Newton) descent on the CSS from
+    ``vec``, whose ``_css_parts`` are ``parts``.  A step s solves
+    (J J' + lam diag(J J')) s = -J r; a step that lowers the CSS is taken
+    and shrinks lam tenfold, any other grows it tenfold.  Stops when a
+    step lowers the CSS by less than a relative 1e-8, when lam passes
+    1e16, or after 100 CSS and Jacobian evaluations in total.  Returns
+    (vec, css, whether any step was taken).
+    """
+    css, r, eps = parts
+    jac = _residual_jacobian(vec, p, q, z, eps, xt, x_last)
+    lam, evals, moved = _LM_DAMPING, 1, False
+    while evals < _LM_MAX_EVALS and lam < _LM_MAX_DAMPING:
+        a = jac @ jac.T
+        step = np.linalg.lstsq(a + lam * np.diag(np.diag(a)), -(jac @ r), rcond=None)[0]
+        cand = vec + step
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand_css, cand_r, cand_eps = _css_parts(cand, p, q, z, zy, xt, x_last)
+        evals += 1
+        if not cand_css < css:  # also rejects nan and inf
+            lam *= 10.0
             continue
-        g_c -= float(at.sum())
-        for i in range(1, p + 1):
-            g_phi[i - 1] -= float(at @ z[:, t - i])
-        for j in range(1, min(q, t) + 1):
-            g_theta[j - 1] -= float(at @ eps[:, t - j])
-            if t - j >= p:
-                adj[:, t - j] -= theta[j - 1] * at
-        if beta.size:
-            g_beta = g_beta - xt[:, t, :].T @ at
-    return css, np.concatenate(([g_c], g_phi, g_theta, g_beta))
+        converged = css - cand_css <= _LM_RTOL * css
+        vec, css, r, eps, moved = cand, cand_css, cand_r, cand_eps, True
+        if converged:
+            break
+        lam *= 0.1
+        jac = _residual_jacobian(vec, p, q, z, eps, xt, x_last)
+        evals += 1
+    return vec, css, moved
 
 
-def check_order(p, d, q) -> tuple[int, int, int]:
-    """The ARIMA order (p, d, q) as ints, checked for the ranges every
-    fit needs: no negative entry and d at most 2.  The checks against
-    the window length stay in ``fit_arimax``."""
-    p, d, q = int(p), int(d), int(q)
+def _initial_residuals(z, xt, order: int) -> np.ndarray:
+    """Time-major residuals of one long autoregression of the given
+    order, with each position's exogenous row, fitted to every in-window
+    position t >= order; zero before.  A function of its own so that the
+    (L - order) * m-row design is freed before the refinement runs."""
+    big_l, m = z.shape
+    design = np.vstack([
+        np.column_stack([np.ones(m)] + [z[t - i] for i in range(1, order + 1)] + [xt[:, t, :]])
+        for t in range(order, big_l)
+    ])
+    resp = z[order:].ravel()
+    if design.shape[0] <= design.shape[1]:
+        raise IllPosedError("too few windows for the residual regression")
+    coef, *_ = np.linalg.lstsq(design, resp, rcond=None)
+    eps0 = np.zeros((big_l, m))
+    eps0[order:] = (resp - design @ coef).reshape(big_l - order, m)
+    return eps0
+
+
+def check_order(p, d, q, window_len) -> tuple[int, int, int]:
+    """The ARIMA order (p, d, q) as ints, checked for what every fit on
+    windows of length l needs: no negative entry, d at most 2, l > p + d,
+    l > q and, when q > 0, room for the residual initialization:
+    l >= p + q + d + 3."""
+    p, d, q, l = int(p), int(d), int(q), int(window_len)
     if p < 0 or d < 0 or q < 0:
         raise InvalidArgumentError("orders must be non-negative")
     if d > 2:
         raise InvalidArgumentError("differencing degree is capped at 2")
+    if l <= p + d:
+        raise InvalidArgumentError(f"window length {l} must exceed p + d = {p + d}")
+    if l <= q:
+        raise InvalidArgumentError(f"window length {l} must exceed q = {q}")
+    if q > 0 and l < p + q + d + 3:
+        raise InvalidArgumentError(
+            f"window length {l} is too short to initialize residuals; "
+            f"q > 0 needs l >= p + q + d + 3 = {p + q + d + 3}"
+        )
     return p, d, q
 
 
 def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
-    """Two-stage fit: regression-based initialization, then gradient
-    refinement of the conditional sum of squared one-step errors.
+    """Two-stage fit: regression-based initialization, then a
+    Levenberg–Marquardt refinement of the conditional sum of squared
+    one-step errors (CSS).
 
     Stage one fits a long autoregression (order p + q + 2) to in-window
     interior positions to estimate residuals, then regresses each
     window's differenced response on its lagged values, lagged residual
     estimates, and newest exogenous row.  With q = 0 the residual stage
     is unnecessary and the initialization already minimizes the CSS
-    exactly, so refinement is skipped.  Refinement accepts a step only
-    if the CSS does not increase, halving the step up to 20 times; ten
-    consecutive full rejections abandon refinement and return the
-    stage-one estimate with a warning flag.
+    exactly, so refinement is skipped.  With q > 0, damped Gauss–Newton
+    steps (``_refine_css``) use the residuals' Jacobian, accumulated in
+    forward mode through the residual recursion, and stop after at most
+    100 CSS and Jacobian evaluations.  A step is taken only if it lowers
+    the CSS; if none does, the stage-one estimate is returned with
+    ``css_warning`` set.
     """
-    p, d, q = check_order(p, d, q)
-    if ds.l <= p + d:
-        raise InvalidArgumentError(
-            f"window length {ds.l} must exceed p + d = {p + d}"
-        )
-    if ds.l <= q:
-        raise InvalidArgumentError(f"window length {ds.l} must exceed q = {q}")
-    if q > 0 and ds.l < p + q + d + 3:
-        raise InvalidArgumentError(
-            f"window length {ds.l} is too short to initialize residuals; "
-            f"q > 0 needs l >= p + q + d + 3 = {p + q + d + 3}"
-        )
+    p, d, q = check_order(p, d, q, ds.l)
     if ds.m == 0:
         raise InvalidArgumentError("cannot fit on an empty dataset")
 
     z, zy, xt, x_last = _window_diff_parts(ds, d)
-    m, big_l = z.shape
+    big_l, m = z.shape
     nex = x_last.shape[1]
 
-    eps0 = np.zeros((m, big_l))
-    if q > 0:
-        order = p + q + 2
-        blocks = []
-        responses = []
-        for t in range(order, big_l):
-            lags = [z[:, t - i] for i in range(1, order + 1)]
-            block = np.column_stack([np.ones(m)] + lags)
-            if nex:
-                block = np.hstack([block, xt[:, t, :]])
-            blocks.append(block)
-            responses.append(z[:, t])
-        design = np.vstack(blocks)
-        resp = np.concatenate(responses)
-        if design.shape[0] <= design.shape[1]:
-            raise IllPosedError("too few windows for the residual regression")
-        coef, *_ = np.linalg.lstsq(design, resp, rcond=None)
-        for k, t in enumerate(range(order, big_l)):
-            eps0[:, t] = resp[k * m : (k + 1) * m] - blocks[k] @ coef
+    eps0 = _initial_residuals(z, xt, p + q + 2) if q > 0 else np.zeros((big_l, m))
 
     cols = [np.ones(m)]
-    cols += [z[:, big_l - i] for i in range(1, p + 1)]
-    cols += [eps0[:, big_l - j] for j in range(1, q + 1)]
+    cols += [z[big_l - i] for i in range(1, p + 1)]
+    cols += [eps0[big_l - j] for j in range(1, q + 1)]
     design1 = np.column_stack(cols)
     if nex:
         design1 = np.hstack([design1, x_last])
@@ -358,42 +385,12 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
             f"{m} windows cannot determine {design1.shape[1]} coefficients"
         )
     coef1, *_ = np.linalg.lstsq(design1, zy, rcond=None)
-    vec = coef1.copy()
 
-    css0 = _css_value(vec, p, q, z, zy, xt, x_last)
-    css_final = css0
-    warning = False
+    parts = _css_parts(coef1, p, q, z, zy, xt, x_last)
+    vec, css_final, warning = coef1, parts[0], False
     if q > 0:
-        current = vec.copy()
-        current_css = css0
-        rejects = 0
-        for _ in range(_REFINE_ITERS):
-            _, grad = _css_and_grad(current, p, q, z, zy, xt, x_last)
-            if float(np.abs(grad).max(initial=0.0)) < 1e-12:
-                break
-            step = _REFINE_LR
-            accepted = False
-            for _ in range(_REFINE_HALVINGS + 1):
-                cand = current - step * grad
-                cand_css = _css_value(cand, p, q, z, zy, xt, x_last)
-                if np.isfinite(cand_css) and cand_css <= current_css:
-                    accepted = True
-                    break
-                step *= 0.5
-            if accepted:
-                current, current_css = cand, cand_css
-                rejects = 0
-            else:
-                rejects += 1
-                if rejects >= _REFINE_MAX_REJECTS:
-                    warning = True
-                    break
-        if warning:
-            vec = coef1
-            css_final = css0
-        else:
-            vec = current
-            css_final = current_css
+        vec, css_final, moved = _refine_css(coef1, parts, p, q, z, zy, xt, x_last)
+        warning = not moved
 
     c, phi, theta, beta = _unpack(vec, p, q)
     return ArimaxModel(
@@ -406,7 +403,7 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
         beta=beta.copy(),
         target_feature=ds.target_feature,
         n_features=ds.n,
-        css_initial=css0,
+        css_initial=parts[0],
         css_final=css_final,
         css_warning=warning,
     )
@@ -435,7 +432,7 @@ def predict_arimax_batch(model: ArimaxModel, windows: np.ndarray) -> np.ndarray:
     tf = model.target_feature
     exog = _exog_indices(model.n_features, tf)
     endog = w[:, :, tf]
-    z = np.diff(endog, n=model.d, axis=1) if model.d else endog
+    z = np.ascontiguousarray((np.diff(endog, n=model.d, axis=1) if model.d else endog).T)
     xt = w[:, model.d :, exog] if exog else np.zeros((w.shape[0], w.shape[1] - model.d, 0))
     x_last = w[:, -1, exog] if exog else np.zeros((w.shape[0], 0))
     zhat, _ = _arimax_forward(model.c, model.phi, model.theta, model.beta, z, xt, x_last)

@@ -78,6 +78,10 @@ class NetworkParams:
             a.setflags(write=False)
             frozen[name] = a
         object.__setattr__(self, "tensors", frozen)
+        layout = _tensor_layout(self.arch, self.n_features, self.window_len,
+                                self.hidden_size, self.kernel_count, self.kernel_width)
+        if {k: a.shape for k, a in frozen.items()} != {k: s for k, (s, _) in layout.items()}:
+            raise InvalidArgumentError(f"{self.arch} tensors disagree with the network sizes")
 
     def with_tensors(self, tensors: dict[str, np.ndarray]) -> "NetworkParams":
         return replace(self, tensors=tensors)
@@ -100,6 +104,27 @@ def regularized_tensor_names(arch: str) -> tuple[str, ...]:
     raise InvalidArgumentError(f"unknown arch {arch!r}")
 
 
+def _tensor_layout(arch, n, l, hidden, count, width) -> dict:
+    """Every tensor of a network in draw order, as name -> (shape,
+    fan_in); fan_in 0 marks a bias."""
+    n, l, hidden, count, width = (int(v) for v in (n, l, hidden, count, width))
+    if arch in ("lstm", "gru"):
+        layout = {}
+        for g in _LSTM_GATES if arch == "lstm" else _GRU_GATES:
+            layout[f"W{g}"] = ((hidden, n), n + hidden)
+            layout[f"U{g}"] = ((hidden, hidden), n + hidden)
+            layout[f"b{g}"] = ((hidden,), 0)
+        layout["head_w"] = ((hidden,), hidden)
+    elif arch == "cnn":
+        head_in = count * (l - width + 1)
+        layout = {"kernels": ((count, width, n), width * n), "conv_b": ((count,), 0),
+                  "head_w": ((head_in,), head_in)}
+    else:
+        raise InvalidArgumentError(f"unknown arch {arch!r}")
+    layout["head_b"] = ((1,), 0)
+    return layout
+
+
 def init_params(cfg: NetworkConfig, n_features: int, window_len: int) -> NetworkParams:
     """Seeded initialization: weights uniform on [-s, s] with
     s = 1/sqrt(fan_in); biases zero except the LSTM forget gate at 1.
@@ -110,41 +135,24 @@ def init_params(cfg: NetworkConfig, n_features: int, window_len: int) -> Network
         raise InvalidArgumentError("n_features must be positive")
     if l < 2:
         raise InvalidArgumentError("window_len must be at least 2")
-    rng = np.random.default_rng(int(cfg.seed))
-    tensors: dict[str, np.ndarray] = {}
-
-    def uniform(shape, fan_in):
-        s = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    if cfg.arch in ("lstm", "gru"):
-        hidden = int(cfg.hidden_size)
-        gates = _LSTM_GATES if cfg.arch == "lstm" else _GRU_GATES
-        fan = n + hidden
-        for g in gates:
-            tensors[f"W{g}"] = uniform((hidden, n), fan)
-            tensors[f"U{g}"] = uniform((hidden, hidden), fan)
-            tensors[f"b{g}"] = np.full(hidden, 1.0) if (cfg.arch == "lstm" and g == "f") else np.zeros(hidden)
-        tensors["head_w"] = uniform(hidden, hidden)
-        tensors["head_b"] = np.zeros(1)
-        return NetworkParams(
-            arch=cfg.arch, n_features=n, window_len=l, hidden_size=hidden,
-            kernel_count=0, kernel_width=0, tensors=tensors,
-        )
-
-    count = int(cfg.kernel_count)
-    width = int(cfg.kernel_width)
+    rnn = cfg.arch in ("lstm", "gru")
+    hidden = int(cfg.hidden_size) if rnn else 0
+    count = 0 if rnn else int(cfg.kernel_count)
+    width = 0 if rnn else int(cfg.kernel_width)
     if width >= l:
         raise InvalidArgumentError(
             f"kernel_width {width} must be smaller than window length {l}"
         )
-    tensors["kernels"] = uniform((count, width, n), width * n)
-    tensors["conv_b"] = np.zeros(count)
-    head_in = count * (l - width + 1)
-    tensors["head_w"] = uniform(head_in, head_in)
-    tensors["head_b"] = np.zeros(1)
+    rng = np.random.default_rng(int(cfg.seed))
+    tensors: dict[str, np.ndarray] = {}
+    for name, (shape, fan_in) in _tensor_layout(cfg.arch, n, l, hidden, count, width).items():
+        if fan_in:
+            s = 1.0 / np.sqrt(fan_in)
+            tensors[name] = rng.uniform(-s, s, size=shape)
+        else:
+            tensors[name] = np.full(shape, 1.0 if (cfg.arch, name) == ("lstm", "bf") else 0.0)
     return NetworkParams(
-        arch="cnn", n_features=n, window_len=l, hidden_size=0,
+        arch=cfg.arch, n_features=n, window_len=l, hidden_size=hidden,
         kernel_count=count, kernel_width=width, tensors=tensors,
     )
 

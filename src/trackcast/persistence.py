@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -186,12 +187,21 @@ def save_model(model, path) -> None:
         "payload_crc32": zlib.crc32(payload),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(FORMAT_VERSION.to_bytes(4, "little"))
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        fh.write(payload)
+    lengths = FORMAT_VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(8, "little")
+    _write_atomic(path, b"".join([MAGIC, lengths, header_bytes, payload]))
+
+
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it
+    over ``path``: a failed write leaves no partial file behind."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_model(path):
@@ -328,5 +338,4 @@ class RunReport:
 
 def write_report(report: RunReport, path) -> None:
     text = json.dumps(report.as_dict(), sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_atomic(path, (text + "\n").encode("utf-8"))

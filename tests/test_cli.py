@@ -128,6 +128,21 @@ class TestConfigValidatedBeforeData:
         assert code == EXIT_CONFIG
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("order", [[8, 0, 0], [0, 0, 8], [2, 0, 4]])
+    def test_arima_order_too_long_for_the_window(self, cli_workspace, tmp_path, order):
+        # window_width 8: needs l > p + d, l > q and l >= p + q + d + 3
+        code, out_dir = self._run(cli_workspace, tmp_path, "model",
+                                  {"arima_order": order}, "--models", "lr,arima")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+
+    def test_cnn_kernel_as_wide_as_the_window(self, cli_workspace, tmp_path, capsys):
+        code, out_dir = self._run(cli_workspace, tmp_path, "model",
+                                  {"kernel_width": 8}, "--models", "cnn")
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+        assert "kernel_width 8" in capsys.readouterr().err
+
     def test_bad_residual_scope(self, cli_workspace, tmp_path):
         code, out_dir = self._run(cli_workspace, tmp_path, "ensemble",
                                   {"boost_residual_scope": "all"},

@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FILTER_SEED, SWEEP_VARIANCE_THRESHOLD
 from trackcast.core import WindowedDataset
 from trackcast.errors import IllPosedError, InvalidArgumentError
 from trackcast import linear as lin
+from trackcast.ingest import SynthConfig, generate_synthetic
+from trackcast.preprocess import FilterConfig, PreprocessConfig, run_preprocess
 from trackcast.linear import (
-    _css_and_grad,
-    _css_value,
+    _css_parts,
+    _residual_jacobian,
     _window_diff_parts,
     difference,
     fit_arimax,
@@ -243,23 +248,136 @@ class TestArimaxEstimation:
         assert out.shape == (0,)
 
 
-class TestCssGradient:
+def stage_one_fit(ds, p, d, q):
+    """fit_arimax with the refinement replaced by a no-op."""
+    with mock.patch.object(lin, "_refine_css", lambda vec, *args: (vec, None, False)):
+        return fit_arimax(ds, p, d, q)
+
+
+class TestCssRefinement:
+    def test_synth_table_refines(self):
+        """Seed-20 5000-row synth table, benchmark preprocessing, order
+        (2, 0, 1): the stage-one estimate has an explosive MA term (CSS
+        about 8.4e12), and the refinement must bring the CSS and the
+        test error down to the AR(2) level."""
+        table = generate_synthetic(SynthConfig(n_rows=5000, seed=20))
+        split, _ = run_preprocess(
+            table,
+            PreprocessConfig(window_width=8),
+            FilterConfig(variance_threshold=SWEEP_VARIANCE_THRESHOLD,
+                         discard_proportion=0.2, seed=FILTER_SEED),
+        )
+        model = fit_arimax(split.train, 2, 0, 1)
+        assert not model.css_warning
+        assert model.css_final < model.css_initial
+        test_mse = np.mean(
+            (predict_arimax_batch(model, split.test.windows) - split.test.targets) ** 2
+        )
+        assert test_mse < 0.01
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(20, 60),
+        n=st.integers(1, 4),
+        p=st.integers(0, 2),
+        d=st.integers(0, 1),
+        q=st.integers(1, 2),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refinement_never_worsens_and_warning_keeps_stage_one(
+        self, seed, m, n, p, d, q, scale
+    ):
+        rng = np.random.default_rng(seed)
+        l = p + q + d + 3 + int(rng.integers(0, 3))
+        ds = ds_from(scale * rng.normal(size=(m, l, n)), scale * rng.normal(size=m),
+                     tf=int(rng.integers(0, n)))
+        model = fit_arimax(ds, p, d, q)
+        assert model.css_final <= model.css_initial
+        if model.css_warning:
+            first = stage_one_fit(ds, p, d, q)
+            assert model.css_final == model.css_initial == first.css_initial
+            assert model.c == first.c
+            for name in ("phi", "theta", "beta"):
+                assert np.array_equal(getattr(model, name), getattr(first, name))
+
+    def test_warning_when_no_step_lowers_the_css(self):
+        """A refinement whose every candidate scores worse returns the
+        stage-one estimate with the flag set."""
+        ds = random_ds(m=80, l=9, n=3, seed=11)
+        first = stage_one_fit(ds, 1, 0, 1)
+        real = lin._css_parts
+
+        def worse_candidates(vec, *args):
+            css, r, eps = real(vec, *args)
+            if not np.array_equal(vec, np.concatenate(([first.c], first.phi, first.theta, first.beta))):
+                css = np.inf
+            return css, r, eps
+
+        with mock.patch.object(lin, "_css_parts", worse_candidates):
+            model = fit_arimax(ds, 1, 0, 1)
+        assert model.css_warning
+        assert model.css_final == model.css_initial
+        assert np.array_equal(model.theta, first.theta)
+        assert np.array_equal(model.phi, first.phi)
+
+
+def window_major_forward(c, phi, theta, beta, z, xt, x_last):
+    """The residual recursion on (m, L) windows-by-position columns, as
+    it ran before the time-major layout: the reference for its bits."""
+    m, big_l = z.shape
+    p, q = phi.shape[0], theta.shape[0]
+    eps = np.zeros((m, big_l))
+    ex = xt @ beta if beta.size else np.zeros((m, big_l))
+    for t in range(p, big_l):
+        pred = c + ex[:, t]
+        for i in range(1, p + 1):
+            pred = pred + phi[i - 1] * z[:, t - i]
+        for j in range(1, min(q, t) + 1):
+            pred = pred + theta[j - 1] * eps[:, t - j]
+        eps[:, t] = z[:, t] - pred
+    zhat = np.full(m, c)
+    if beta.size:
+        zhat = zhat + x_last @ beta
+    for i in range(1, p + 1):
+        zhat = zhat + phi[i - 1] * z[:, big_l - i]
+    for j in range(1, q + 1):
+        zhat = zhat + theta[j - 1] * eps[:, big_l - j]
+    return zhat, eps
+
+
+class TestTimeMajorForward:
+    @pytest.mark.parametrize("p,d,q,n", [(2, 0, 1, 4), (0, 0, 2, 3), (3, 1, 0, 1), (1, 2, 2, 5)])
+    def test_bit_identical_to_window_major(self, p, d, q, n):
+        rng = np.random.default_rng(17)
+        ds = ds_from(rng.normal(size=(300, 9, n)), rng.normal(size=300), tf=n - 1)
+        z, zy, xt, x_last = _window_diff_parts(ds, d)
+        c, phi, theta, beta = 0.1, rng.normal(size=p), rng.normal(size=q), rng.normal(size=n - 1)
+        zhat, eps = lin._arimax_forward(c, phi, theta, beta, z, xt, x_last)
+        ref_zhat, ref_eps = window_major_forward(c, phi, theta, beta, z.T.copy(), xt, x_last)
+        assert np.array_equal(zhat, ref_zhat)
+        assert np.array_equal(eps, ref_eps.T)
+
+
+class TestResidualJacobian:
     @pytest.mark.parametrize("p,d,q", [(1, 0, 1), (2, 1, 1), (0, 0, 2), (2, 0, 2), (1, 2, 1)])
-    def test_adjoint_matches_central_differences(self, p, d, q):
+    def test_forward_mode_matches_central_differences(self, p, d, q):
         rng = np.random.default_rng(3)
         ds = ds_from(rng.normal(size=(40, 9, 3)), rng.normal(size=40), tf=1)
         z, zy, xt, x_last = _window_diff_parts(ds, d)
         vec = rng.normal(scale=0.3, size=1 + p + q + (ds.n - 1))
-        _, grad = _css_and_grad(vec, p, q, z, zy, xt, x_last)
+        _, _, eps = _css_parts(vec, p, q, z, zy, xt, x_last)
+        jac = _residual_jacobian(vec, p, q, z, eps, xt, x_last)
+        assert jac.shape == (vec.size, ds.m)
         h = 1e-6
-        num = np.zeros_like(vec)
+        num = np.zeros_like(jac)
         for k in range(vec.size):
             vp, vm = vec.copy(), vec.copy()
             vp[k] += h
             vm[k] -= h
             num[k] = (
-                _css_value(vp, p, q, z, zy, xt, x_last)
-                - _css_value(vm, p, q, z, zy, xt, x_last)
+                _css_parts(vp, p, q, z, zy, xt, x_last)[1]
+                - _css_parts(vm, p, q, z, zy, xt, x_last)[1]
             ) / (2 * h)
-        rel = np.abs(grad - num) / np.maximum(np.abs(grad) + np.abs(num), 1e-8)
+        rel = np.abs(jac - num) / np.maximum(np.abs(jac) + np.abs(num), 1e-8)
         assert rel.max() < 1e-6

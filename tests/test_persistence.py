@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import os
@@ -5,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trackcast.core import WindowedDataset
@@ -28,6 +29,7 @@ from trackcast.linear import (
     predict_arimax_batch,
     predict_linear_batch,
 )
+from trackcast import persistence
 from trackcast.neural import NetworkConfig, init_params, predict_batch
 from trackcast.persistence import (
     FORMAT_VERSION,
@@ -276,6 +278,16 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match="TypeError"):
             load_model(artifact)
 
+    @pytest.mark.parametrize("field,value", [("arch", "rnn"), ("hidden_size", 4)])
+    def test_network_meta_disagreeing_with_tensors(self, tmp_path, field, value):
+        """A saved GRU whose arch is unknown, or whose hidden size no
+        longer matches its tensors, fails at load, not at prediction."""
+        path = tmp_path / "gru.tckm"
+        save_model(init_params(fast_cfg(arch="gru", hidden_size=3), 3, 8), path)
+        edit_header(path, lambda h: h["meta"].update({field: value}))
+        with pytest.raises(IntegrityError, match="InvalidArgumentError"):
+            load_model(path)
+
 
 @functools.lru_cache(maxsize=None)
 def _saved_blobs() -> tuple[bytes, ...]:
@@ -286,6 +298,7 @@ def _saved_blobs() -> tuple[bytes, ...]:
         fit_linear(ds),
         fit_arimax(ds, 1, 0, 1),
         init_params(fast_cfg(arch="lstm", hidden_size=3), ds.n, ds.l),
+        init_params(fast_cfg(arch="gru", hidden_size=2), ds.n, ds.l),
         EnsembleModel(
             members=members,
             combiner=Combiner(kind="stacker", weights=(0.25, 0.75), bias=0.5),
@@ -340,7 +353,7 @@ class TestCorruptionFuzz:
     in IntegrityError or UnsupportedVersionError, or load."""
 
     @settings(max_examples=200, deadline=None)
-    @given(which=st.integers(0, 3),
+    @given(which=st.integers(0, 4),
            flips=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
                           min_size=1, max_size=3))
     def test_byte_flips(self, which, flips):
@@ -350,13 +363,13 @@ class TestCorruptionFuzz:
         _load_damaged(bytes(blob))
 
     @settings(max_examples=100, deadline=None)
-    @given(which=st.integers(0, 3), keep=st.floats(0, 1, exclude_max=True))
+    @given(which=st.integers(0, 4), keep=st.floats(0, 1, exclude_max=True))
     def test_truncations(self, which, keep):
         blob = _saved_blobs()[which]
         _load_damaged(blob[: int(keep * len(blob))])
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), which=st.integers(0, 3), delete=st.booleans())
+    @given(data=st.data(), which=st.integers(0, 4), delete=st.booleans())
     def test_manifest_edits(self, data, which, delete):
         blob = _saved_blobs()[which]
         header_len = int.from_bytes(blob[8:16], "little")
@@ -375,6 +388,95 @@ class TestCorruptionFuzz:
         new_header = json.dumps(header, sort_keys=True).encode("utf-8")
         _load_damaged(blob[:8] + len(new_header).to_bytes(8, "little")
                       + new_header + blob[16 + header_len :])
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), which=st.sampled_from([2, 3, 4]))
+    def test_network_meta_edits(self, data, which):
+        """Editing a network's arch, or a size its tensor shapes depend
+        on, to any other value is caught at load."""
+        blob = _saved_blobs()[which]
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + header_len])
+        meta = header["meta"]
+        if header["model_kind"] == "ensemble":
+            meta = meta["members"][data.draw(st.integers(0, len(meta["members"]) - 1))]
+        shaping = ["n_features"] + (
+            ["hidden_size"] if meta["arch"] in ("lstm", "gru")
+            else ["kernel_count", "kernel_width", "window_len"]
+        )
+        field = data.draw(st.sampled_from(["arch"] + shaping))
+        if field == "arch":
+            value = data.draw(st.sampled_from(["lstm", "gru", "cnn", "rnn"]) | st.text(max_size=4))
+        else:
+            value = data.draw(st.integers(-3, 40))
+        assume(value != meta[field])
+        meta[field] = value
+        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+        damaged = (blob[:8] + len(new_header).to_bytes(8, "little")
+                   + new_header + blob[16 + header_len :])
+        with pytest.raises(IntegrityError):
+            _load_damaged_strict(damaged)
+
+
+def _load_damaged_strict(blob: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "damaged.tckm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        load_model(path)
+
+
+class _DiskFullFile:
+    """Writes half of what it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves no partial artifact or report:
+    the target keeps its old bytes (or stays absent) and no temporary
+    file is left beside it."""
+
+    @pytest.fixture
+    def disk_full(self, monkeypatch):
+        def failing_open(path, mode="r", *args, **kw):
+            return _DiskFullFile(open(path, mode, *args, **kw))
+
+        monkeypatch.setattr(persistence, "open", failing_open, raising=False)
+
+    def _writers(self):
+        report = RunReport(config={}, audit={}, models={"lr": {"train_mse": 0.5}})
+        return {
+            "m.tckm": lambda path: save_model(fit_linear(make_ds()), path),
+            "report.json": lambda path: write_report(report, path),
+        }
+
+    @pytest.mark.parametrize("name", ["m.tckm", "report.json"])
+    def test_failed_first_write_leaves_nothing(self, tmp_path, disk_full, name):
+        with pytest.raises(OSError):
+            self._writers()[name](tmp_path / name)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("name", ["m.tckm", "report.json"])
+    def test_failed_overwrite_keeps_old_bytes(self, tmp_path, disk_full, name):
+        path = tmp_path / name
+        path.write_bytes(b"old bytes")
+        with pytest.raises(OSError):
+            self._writers()[name](path)
+        assert path.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == [name]
 
 
 class TestMetricRounding:

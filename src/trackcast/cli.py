@@ -5,8 +5,10 @@ Three subcommands wire the pipeline end to end from one JSON config:
 reports, ``filter-sweep`` repeats a run across filter proportions.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O or data-file
-problem, 4 numeric divergence during training (the report is still
-written with whatever finished).
+problem, 4 numeric divergence during training.  When ``run`` fails to
+fit a model, because it diverged (4) or the data holds too few windows
+for its coefficients (3), the report is still written with whatever
+finished; 3 wins over 4.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .core import SplitSet, evaluate_metrics
 from .errors import (
     ConfigError,
     DataFormatError,
+    IllPosedError,
     IntegrityError,
     InvalidArgumentError,
     NumericDivergenceError,
@@ -389,13 +392,13 @@ def cmd_run(args) -> int:
 
     entries: dict[str, dict] = {}
     errors: dict[str, str] = {}
-    diverged = False
+    failure_codes = set()
     for name in models:
         t0 = time.perf_counter()
         try:
             entry, model = _train_one_model(name, settings[name], split, ens_settings)
         except NumericDivergenceError as exc:
-            diverged = True
+            failure_codes.add(EXIT_DIVERGENCE)
             errors[name] = f"numeric divergence: {exc}"
             trace = getattr(exc, "trace", None)
             entries[name] = {
@@ -403,6 +406,12 @@ def cmd_run(args) -> int:
                 "metrics": None,
                 "trace": None if trace is None else trace_as_dict(trace),
             }
+        except IllPosedError as exc:
+            # too few windows for the model's coefficients: the data is
+            # at fault, not the config
+            failure_codes.add(EXIT_IO)
+            errors[name] = f"ill-posed fit: {exc}"
+            entries[name] = {"kind": "failed", "metrics": None, "trace": None}
         else:
             entries[name] = entry
             save_model(model, os.path.join(args.out_dir, f"{name}.tckm"))
@@ -423,9 +432,9 @@ def cmd_run(args) -> int:
     )
     write_report(report, os.path.join(args.out_dir, "report.json"))
     _print_summary(entries)
-    if errors:
-        print("divergence: " + ", ".join(sorted(errors)), file=sys.stderr)
-    return EXIT_DIVERGENCE if diverged else EXIT_OK
+    for name in sorted(errors):
+        print(f"{name}: {errors[name]}", file=sys.stderr)
+    return min(failure_codes, default=EXIT_OK)
 
 
 def _parse_proportions(raw: str) -> list[float]:

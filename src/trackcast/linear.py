@@ -438,10 +438,16 @@ def predict_arimax_batch(model: ArimaxModel, windows: np.ndarray) -> np.ndarray:
     zhat, _ = _arimax_forward(model.c, model.phi, model.theta, model.beta, z, xt, x_last)
     if model.d == 0:
         return zhat
-    out = np.empty(w.shape[0])
-    for k in range(w.shape[0]):
-        out[k] = undifference(endog[k, -model.d :], float(zhat[k]), model.d)
-    return out
+    # ``undifference`` on every window at once: the same level tails,
+    # added in the same order, so each value is bit-identical
+    levels = []
+    tails = endog[:, -model.d :]
+    for _ in range(model.d):
+        levels.append(tails[:, -1])
+        tails = np.diff(tails, axis=1)
+    for level in reversed(levels):
+        zhat = zhat + level
+    return zhat
 
 
 def predict_arimax(model: ArimaxModel, window: np.ndarray) -> float:

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from trackcast import neural
 from trackcast.ingest import SynthConfig, generate_synthetic, write_csv
 from trackcast.preprocess import PreprocessConfig, run_preprocess
 
@@ -17,6 +18,25 @@ ACCEPT_ROWS = 30000
 ACCEPT_WINDOW = 8
 SWEEP_VARIANCE_THRESHOLD = 0.002  # sits between the calm bulk and burst tail of scaled window variances
 FILTER_SEED = 11
+
+
+@pytest.fixture(scope="session")
+def session_blas_threads():
+    """numpy's OpenBLAS thread-count getter and its value at session
+    start, or None where no OpenBLAS symbol is found."""
+    blas = neural._openblas_threads()
+    return None if blas is None else (blas[0], blas[0]())
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored(session_blas_threads):
+    """Fail any test that leaves numpy's OpenBLAS on another thread
+    count than at session start, as a parallel predict_batch that
+    skipped its restore would."""
+    yield
+    if session_blas_threads is not None:
+        get_threads, start = session_blas_threads
+        assert get_threads() == start, "OpenBLAS thread count changed by this test"
 
 
 @pytest.fixture(scope="session")

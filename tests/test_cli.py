@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +16,7 @@ from trackcast.cli import (
 )
 from trackcast.core import evaluate_metrics
 from trackcast.ensemble import EnsembleModel, ensemble_predict_batch
-from trackcast.ingest import read_csv
+from trackcast.ingest import SynthConfig, generate_synthetic, read_csv, write_csv
 from trackcast.neural import predict_batch
 from trackcast.persistence import _sig6, load_model
 from trackcast.preprocess import PreprocessConfig, run_preprocess
@@ -347,6 +349,51 @@ class TestRun:
         assert (out_dir / "lr.tckm").is_file()
         assert not (out_dir / "lstm.tckm").exists()
         assert "divergence" in capsys.readouterr().err
+
+    def test_ill_posed_fit_keeps_partial_report(self, tmp_path, capsys):
+        # 16 rows leave 6 train windows: enough for lr, too few for the
+        # 6 coefficients of ARIMAX(2,0,1) with 3 exogenous features
+        table = generate_synthetic(SynthConfig(
+            n_rows=16, n_features=12, seed=7,
+            constant_feature_count=2, irrelevant_feature_count=3,
+        ))
+        data = tmp_path / "tiny.csv"
+        write_csv(table, data)
+        path = write_config(tmp_path, {
+            "preprocess": {"window_width": 8},
+            "model": {"models": ["lr", "arima"], "arima_order": [2, 0, 1]},
+        })
+        code, out_dir = run_cli({"data": str(data)}, tmp_path, config=path)
+        assert code == EXIT_IO
+        report = read_report(out_dir)
+        assert "cannot determine" in report["errors"]["arima"]
+        assert report["models"]["arima"] == {"kind": "failed", "metrics": None, "trace": None}
+        assert report["models"]["lr"]["kind"] == "linear"
+        assert sorted(os.listdir(out_dir)) == ["lr.tckm", "report.json"]
+        assert "arima: ill-posed fit" in capsys.readouterr().err
+
+    def test_linear_run_starts_no_thread(self, cli_workspace, tmp_path):
+        """The prediction pool and concurrent.futures load on the first
+        parallel network prediction, never on import or for lr/arima."""
+        script = (
+            "import sys, threading\n"
+            "import trackcast.cli as cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "code = cli.main(['run', '--config', sys.argv[1], '--data', sys.argv[2],\n"
+            "                 '--out-dir', sys.argv[3], '--models', 'lr,arima'])\n"
+            "print(code, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cli_workspace["config"], cli_workspace["data"],
+             str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "False"
+        assert lines[-1] == f"{EXIT_OK} 1 False"
 
     def test_filter_proportion_flag_enables_filtering(self, cli_workspace, tmp_path):
         code, out_dir = run_cli(cli_workspace, tmp_path,

@@ -241,6 +241,25 @@ class TestArimaxEstimation:
         batch = predict_arimax_batch(model, ds.windows)
         assert predict_arimax(model, ds.windows[7]) == pytest.approx(batch[7])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_undifferencing_bit_identical_to_per_window(self, d):
+        ds = random_ds(m=300, l=9, n=3, tf=2, seed=17)
+        model = fit_arimax(ds, 2, d, 1)
+        forward = lin._arimax_forward
+        seen = []
+
+        def recording_forward(*args):
+            out = forward(*args)
+            seen.append(out[0].copy())
+            return out
+
+        with mock.patch.object(lin, "_arimax_forward", recording_forward):
+            batch = predict_arimax_batch(model, ds.windows)
+        (zhat,) = seen
+        endog = ds.windows[:, :, 2]
+        reference = [undifference(endog[k, -d:], float(zhat[k]), d) for k in range(ds.m)]
+        assert np.array_equal(batch, np.array(reference))
+
     def test_empty_batch(self):
         ds = random_ds(m=50, l=8, n=3, seed=15)
         model = fit_arimax(ds, 1, 0, 0)

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -257,14 +261,102 @@ class TestEarlyStopper:
             EarlyStopper(patience=0)
 
 
-class TestDatasetMse:
-    def test_chunking_is_invisible(self):
-        ds = make_ds(m=10)
-        p = init_params(small_cfg("gru"), ds.n, ds.l)
-        a = dataset_mse(p, ds, chunk=3)
-        b = dataset_mse(p, ds, chunk=4096)
-        assert a == pytest.approx(b, rel=1e-12)
+def parallel_blas_or_skip():
+    blas = neural._openblas_threads()
+    if blas is None or neural._usable_cores() < 2:
+        pytest.skip("the parallel path needs numpy's OpenBLAS and two usable cores")
+    return blas
 
+
+class TestParallelPredict:
+    """predict_batch's chunks run on a thread pool under one BLAS thread;
+    the reference is the serial path taken when no OpenBLAS is found."""
+
+    @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 3 * 1024 + 5])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_bit_identical_to_forced_serial(self, arch, m, monkeypatch):
+        ds = make_ds(m=m, seed=6)
+        p = init_params(small_cfg(arch), ds.n, ds.l)
+        parallel = predict_batch(p, ds.windows)
+        monkeypatch.setattr(neural, "_openblas_threads", lambda: None)
+        serial = predict_batch(p, ds.windows)
+        assert parallel.shape == (m,)
+        assert np.array_equal(parallel, serial)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_one_blas_thread_inside_and_restored_after(self, fails, monkeypatch):
+        get_threads, set_threads = parallel_blas_or_skip()
+        real = neural._FORWARD["gru"]
+        seen, finished = [], []
+
+        def forward(params, x, need_cache):
+            seen.append((get_threads(), threading.current_thread() is threading.main_thread()))
+            if fails and np.shares_memory(x, ds.windows[:1]):
+                raise RuntimeError("forward failed")  # the first chunk, at once
+            time.sleep(0.05)  # the other chunks are still running by then
+            out = real(params, x, need_cache)
+            finished.append(x.shape[0])
+            return out
+
+        monkeypatch.setitem(neural._FORWARD, "gru", forward)
+        ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
+        p = init_params(small_cfg("gru"), ds.n, ds.l)
+        before = get_threads()
+        set_threads(2)  # a restore to 1 would not show in a one-thread session
+        try:
+            if fails:
+                with pytest.raises(RuntimeError, match="forward failed"):
+                    predict_batch(p, ds.windows)
+            else:
+                predict_batch(p, ds.windows)
+            after = get_threads()
+            finished_on_return = sorted(finished)
+        finally:
+            set_threads(before)
+        assert after == 2
+        # every chunk ran on a pool thread under one BLAS thread, and
+        # every chunk that did not fail had ended before the restore
+        assert seen == [(1, False)] * 3
+        c = neural._PREDICT_CHUNK
+        assert finished_on_return == ([1, c] if fails else [1, c, c])
+
+    def test_concurrent_callers_share_the_pool(self):
+        get_threads, set_threads = parallel_blas_or_skip()
+        ds = make_ds(m=2 * neural._PREDICT_CHUNK + 7, seed=8)
+        p = init_params(small_cfg("lstm"), ds.n, ds.l)
+        expected = predict_batch(p, ds.windows)
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(10):
+                    results.append(predict_batch(p, ds.windows))
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        before = get_threads()
+        set_threads(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            alive = [t.is_alive() for t in callers]
+            after = get_threads()
+        finally:
+            sys.setswitchinterval(interval)
+            set_threads(before)
+        assert not any(alive) and errors == []
+        # interleaved save/set/restore pairs would leave one thread here
+        assert after == 2
+        assert len(results) == 40
+        assert all(np.array_equal(r, expected) for r in results)
+
+
+class TestDatasetMse:
     def test_empty_rejected(self):
         p = init_params(small_cfg("gru"), 3, 5)
         ds = WindowedDataset(windows=np.empty((0, 5, 3)), targets=np.empty(0),

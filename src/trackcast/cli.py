@@ -373,6 +373,15 @@ def _read_data(path, schema: CsvSchema, timings: dict):
     return table
 
 
+def _fit_failure(exc) -> tuple[int, str]:
+    """Exit code and ``errors`` line for a model that failed to fit.  Too
+    few windows for the model's coefficients is a fault of the data, not
+    of the config."""
+    if isinstance(exc, NumericDivergenceError):
+        return EXIT_DIVERGENCE, f"numeric divergence: {exc}"
+    return EXIT_IO, f"ill-posed fit: {exc}"
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     models = _model_list(cfg, args.models)
@@ -397,21 +406,15 @@ def cmd_run(args) -> int:
         t0 = time.perf_counter()
         try:
             entry, model = _train_one_model(name, settings[name], split, ens_settings)
-        except NumericDivergenceError as exc:
-            failure_codes.add(EXIT_DIVERGENCE)
-            errors[name] = f"numeric divergence: {exc}"
+        except (NumericDivergenceError, IllPosedError) as exc:
+            code, errors[name] = _fit_failure(exc)
+            failure_codes.add(code)
             trace = getattr(exc, "trace", None)
             entries[name] = {
                 "kind": "failed",
                 "metrics": None,
                 "trace": None if trace is None else trace_as_dict(trace),
             }
-        except IllPosedError as exc:
-            # too few windows for the model's coefficients: the data is
-            # at fault, not the config
-            failure_codes.add(EXIT_IO)
-            errors[name] = f"ill-posed fit: {exc}"
-            entries[name] = {"kind": "failed", "metrics": None, "trace": None}
         else:
             entries[name] = entry
             save_model(model, os.path.join(args.out_dir, f"{name}.tckm"))
@@ -467,7 +470,7 @@ def cmd_filter_sweep(args) -> int:
     rows = []
     shared_audit = None
     errors: dict[str, str] = {}
-    diverged = False
+    failure_codes = set()
     for prop in proportions:
         filter_cfg = FilterConfig(
             variance_threshold=base_filter.variance_threshold,
@@ -487,9 +490,9 @@ def cmd_filter_sweep(args) -> int:
         }
         try:
             entry, _model = _train_one_model(swept_model, setting, split, ens_settings)
-        except NumericDivergenceError as exc:
-            diverged = True
-            errors[f"proportion={prop}"] = f"numeric divergence: {exc}"
+        except (NumericDivergenceError, IllPosedError) as exc:
+            code, errors[f"proportion={prop}"] = _fit_failure(exc)
+            failure_codes.add(code)
             row.update({"train_mse": None, "val_mse": None, "test_mse": None,
                         "train_mae": None, "val_mae": None, "test_mae": None})
         else:
@@ -520,7 +523,7 @@ def cmd_filter_sweep(args) -> int:
     widths = [max(len(r[i]) for r in table_rows) for i in range(len(header))]
     for r in table_rows:
         print("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
-    return EXIT_DIVERGENCE if diverged else EXIT_OK
+    return min(failure_codes, default=EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,10 +70,14 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Named parameter tensors for one network instance.
+    """One network's parameters as a single float64 vector.
 
-    Tensors are read-only; updates build a new instance, which makes
-    best-epoch snapshots free.
+    ``tensors`` holds read-only named views of ``vector`` in
+    ``_tensor_layout`` order, the order artifacts store; the regularized
+    tensors fill the vector's first ``prefix`` entries.  The vector is
+    used as given: ``init_params``, ``from_tensors`` and ``train`` hand
+    out read-only ones, and only the copy a running ``train`` owns is
+    writable, for ``adam_step`` to update in place.
     """
 
     arch: str
@@ -81,25 +86,44 @@ class NetworkParams:
     hidden_size: int
     kernel_count: int
     kernel_width: int
-    tensors: dict[str, np.ndarray]
+    vector: np.ndarray = field(repr=False)
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    prefix: int = field(init=False, repr=False, compare=False)
+    _layout: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frozen = {}
-        for name, arr in self.tensors.items():
-            a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            a.setflags(write=False)
-            frozen[name] = a
-        object.__setattr__(self, "tensors", frozen)
-        layout = _tensor_layout(self.arch, self.n_features, self.window_len,
-                                self.hidden_size, self.kernel_count, self.kernel_width)
-        if {k: a.shape for k, a in frozen.items()} != {k: s for k, (s, _) in layout.items()}:
-            raise InvalidArgumentError(f"{self.arch} tensors disagree with the network sizes")
+        layout, prefix, size = _tensor_layout(self.arch, self.n_features, self.window_len,
+                                              self.hidden_size, self.kernel_count,
+                                              self.kernel_width)
+        v = self.vector
+        if not isinstance(v, np.ndarray) or v.dtype != np.float64 or v.shape != (size,):
+            raise InvalidArgumentError(f"{self.arch} parameters disagree with the network sizes")
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tensors", self.views(v))
+        for view in self.tensors.values():
+            view.setflags(write=False)
 
-    def with_tensors(self, tensors: dict[str, np.ndarray]) -> "NetworkParams":
-        return replace(self, tensors=tensors)
+    @classmethod
+    def from_tensors(cls, arch, n_features, window_len, hidden_size, kernel_count,
+                     kernel_width, tensors) -> "NetworkParams":
+        """Parameters holding a read-only copy of named tensors."""
+        sizes = (n_features, window_len, hidden_size, kernel_count, kernel_width)
+        layout, _, size = _tensor_layout(arch, *sizes)
+        if {k: np.shape(a) for k, a in tensors.items()} != {k: s[0] for k, s in layout.items()}:
+            raise InvalidArgumentError(f"{arch} tensors disagree with the network sizes")
+        vector = np.empty(size)
+        for name, (_, _, start, stop) in layout.items():
+            vector[start:stop] = np.ravel(tensors[name])
+        vector.setflags(write=False)
+        return cls(arch, *sizes, vector)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of any vector laid out like ``self.vector``."""
+        return {k: vector[a:b].reshape(shape) for k, (shape, _, a, b) in self._layout.items()}
 
     def parameter_count(self) -> int:
-        return sum(a.size for a in self.tensors.values())
+        return self.vector.size
 
 
 def regularized_tensor_names(arch: str) -> tuple[str, ...]:
@@ -116,25 +140,32 @@ def regularized_tensor_names(arch: str) -> tuple[str, ...]:
     raise InvalidArgumentError(f"unknown arch {arch!r}")
 
 
-def _tensor_layout(arch, n, l, hidden, count, width) -> dict:
+def _tensor_layout(arch, n, l, hidden, count, width) -> tuple[dict, int, int]:
     """Every tensor of a network in draw order, as name -> (shape,
-    fan_in); fan_in 0 marks a bias."""
+    fan_in, start, stop), then the regularized prefix's length and the
+    vector's size.  fan_in 0 marks a bias; [start, stop) is the tensor's
+    place in the flat vector, which holds the regularized tensors first."""
     n, l, hidden, count, width = (int(v) for v in (n, l, hidden, count, width))
     if arch in ("lstm", "gru"):
-        layout = {}
+        shapes = {}
         for g in _LSTM_GATES if arch == "lstm" else _GRU_GATES:
-            layout[f"W{g}"] = ((hidden, n), n + hidden)
-            layout[f"U{g}"] = ((hidden, hidden), n + hidden)
-            layout[f"b{g}"] = ((hidden,), 0)
-        layout["head_w"] = ((hidden,), hidden)
+            shapes[f"W{g}"] = ((hidden, n), n + hidden)
+            shapes[f"U{g}"] = ((hidden, hidden), n + hidden)
+            shapes[f"b{g}"] = ((hidden,), 0)
+        shapes["head_w"] = ((hidden,), hidden)
     elif arch == "cnn":
         head_in = count * (l - width + 1)
-        layout = {"kernels": ((count, width, n), width * n), "conv_b": ((count,), 0),
+        shapes = {"kernels": ((count, width, n), width * n), "conv_b": ((count,), 0),
                   "head_w": ((head_in,), head_in)}
     else:
         raise InvalidArgumentError(f"unknown arch {arch!r}")
-    layout["head_b"] = ((1,), 0)
-    return layout
+    shapes["head_b"] = ((1,), 0)
+    reg = regularized_tensor_names(arch)
+    layout, stop = {}, 0
+    for name in (*reg, *(k for k in shapes if k not in reg)):
+        start, stop = stop, stop + math.prod(shapes[name][0])
+        layout[name] = (*shapes[name], start, stop)
+    return {k: layout[k] for k in shapes}, layout[reg[-1]][3], stop
 
 
 def init_params(cfg: NetworkConfig, n_features: int, window_len: int) -> NetworkParams:
@@ -157,16 +188,14 @@ def init_params(cfg: NetworkConfig, n_features: int, window_len: int) -> Network
         )
     rng = np.random.default_rng(int(cfg.seed))
     tensors: dict[str, np.ndarray] = {}
-    for name, (shape, fan_in) in _tensor_layout(cfg.arch, n, l, hidden, count, width).items():
+    for name, (shape, fan_in, _, _) in _tensor_layout(cfg.arch, n, l, hidden, count,
+                                                      width)[0].items():
         if fan_in:
             s = 1.0 / np.sqrt(fan_in)
             tensors[name] = rng.uniform(-s, s, size=shape)
         else:
             tensors[name] = np.full(shape, 1.0 if (cfg.arch, name) == ("lstm", "bf") else 0.0)
-    return NetworkParams(
-        arch=cfg.arch, n_features=n, window_len=l, hidden_size=hidden,
-        kernel_count=count, kernel_width=width, tensors=tensors,
-    )
+    return NetworkParams.from_tensors(cfg.arch, n, l, hidden, count, width, tensors)
 
 
 def _check_batch(params: NetworkParams, x: np.ndarray) -> None:
@@ -176,117 +205,150 @@ def _check_batch(params: NetworkParams, x: np.ndarray) -> None:
         )
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
+def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function in its tanh form, 0.5 * tanh(0.5 a) + 0.5.
 
-    The same function as 1 / (1 + exp(-a)), computed in one new array
-    without overflow for any finite ``a``; about half the cost of
-    ``scipy.special.expit``.
+    The same function as 1 / (1 + exp(-a)), without overflow for any
+    finite ``a``; about half the cost of ``scipy.special.expit``.
+    Written into ``out`` (which may be ``a``), else into a new array.
     """
-    out = np.multiply(a, 0.5)
+    out = np.multiply(a, 0.5, out=out)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
     return out
 
 
+# The recurrent nets keep one work buffer per call: ``buf[k]`` holds the
+# state entering step k and that step's activations, each a contiguous
+# (batch, hidden) block, for every step in training and in two
+# alternating slots for inference.  Each update is done in place by the
+# operations, in the order, of the plain expression beside it.
+
+
+def _gate(out, xs, h, t, g, tmp):
+    """out = xs @ W_g.T + h @ U_g.T + b_g"""
+    np.matmul(xs, t[f"W{g}"].T, out=out)
+    out += np.matmul(h, t[f"U{g}"].T, out=tmp)
+    out += t[f"b{g}"]
+
+
+def _accumulate(grads, g, da, xs, h, work):
+    """W_g += da.T @ xs; U_g += da.T @ h; b_g += da summed over the batch"""
+    for w, inp, out in zip("WU", (xs, h), work):
+        grads[f"{w}{g}"] += np.matmul(da.T, inp, out=out)
+    grads[f"b{g}"] += da.sum(axis=0)
+
+
+def _head_backward(t, grads, last, dpred):
+    """Dense-head gradients; returns the gradient at the head's input."""
+    grads["head_w"][...] = last.T @ dpred
+    grads["head_b"][0] = dpred.sum()
+    return dpred[:, None] * t["head_w"][None, :]
+
+
 def _lstm_forward(params, x, need_cache):
     t = params.tensors
     batch, l, _ = x.shape
-    hidden = params.hidden_size
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    cache = [] if need_cache else None
+    depth = l + 1 if need_cache else 2
+    # slot: h, c entering the step, then its i, f, o, g and tanh(c_new)
+    buf = np.empty((depth, 7, batch, params.hidden_size))
+    buf[0, :2] = 0.0
+    tmp = np.empty_like(buf[0, 0])
     for step in range(l):
-        xs = x[:, step, :]
-        i = _sigmoid(xs @ t["Wi"].T + h @ t["Ui"].T + t["bi"])
-        f = _sigmoid(xs @ t["Wf"].T + h @ t["Uf"].T + t["bf"])
-        o = _sigmoid(xs @ t["Wo"].T + h @ t["Uo"].T + t["bo"])
-        g = np.tanh(xs @ t["Wg"].T + h @ t["Ug"].T + t["bg"])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        if need_cache:
-            cache.append((xs, h, c, i, f, o, g, tc))
-        h, c = h_new, c_new
-    preds = h @ t["head_w"] + t["head_b"][0]
-    return preds, (h, cache)
+        h, c, i, f, o, g, tc = buf[step % depth]
+        h_new, c_new = buf[(step + 1) % depth, :2]
+        for out, name in zip((i, f, o, g), _LSTM_GATES):
+            _gate(out, x[:, step, :], h, t, name, tmp)
+        _sigmoid(buf[step % depth, 2:5], out=buf[step % depth, 2:5])
+        np.tanh(g, out=g)
+        np.multiply(f, c, out=c_new)  # c_new = f * c + i * g
+        c_new += np.multiply(i, g, out=tmp)
+        np.multiply(o, np.tanh(c_new, out=tc), out=h_new)
+    return buf[l % depth, 0] @ t["head_w"] + t["head_b"][0], (x, buf) if need_cache else None
 
 
-def _lstm_backward(params, aux, dpred):
+def _lstm_backward(params, aux, dpred, grads):
     t = params.tensors
-    h_last, cache = aux
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
-    grads["head_w"] = h_last.T @ dpred
-    grads["head_b"] = np.array([dpred.sum()])
-    dh = dpred[:, None] * t["head_w"][None, :]
+    x, buf = aux
+    dh = _head_backward(t, grads, buf[-1, 0], dpred)
     dc = np.zeros_like(dh)
-    for step in range(len(cache) - 1, -1, -1):
-        xs, h_prev, c_prev, i, f, o, g, tc = cache[step]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dai = di * i * (1.0 - i)
-        daf = df * f * (1.0 - f)
-        dao = do * o * (1.0 - o)
-        dag = dg * (1.0 - g * g)
-        for name, da in (("i", dai), ("f", daf), ("o", dao), ("g", dag)):
-            grads[f"W{name}"] += da.T @ xs
-            grads[f"U{name}"] += da.T @ h_prev
-            grads[f"b{name}"] += da.sum(axis=0)
-        dh = dai @ t["Ui"] + daf @ t["Uf"] + dao @ t["Uo"] + dag @ t["Ug"]
-        dc = dc * f
+    da, tmp = np.empty((2, 4) + dh.shape)  # d(pre-activation) of i, f, o, g; scratch
+    work = (np.empty_like(t["Wi"]), np.empty_like(t["Ui"]))
+    for step in range(x.shape[1] - 1, -1, -1):
+        h_prev, c_prev, i, f, o, g, tc = buf[step]
+        np.multiply(dh, tc, out=da[2])  # do = dh * tc
+        dh *= o  # dc = dc + dh * o * (1 - tc * tc)
+        dh *= np.subtract(1.0, np.multiply(tc, tc, out=tmp[0]), out=tmp[0])
+        dc += dh
+        np.multiply(dc, g, out=da[0])  # di = dc * g
+        np.multiply(dc, c_prev, out=da[1])  # df = dc * c_prev
+        da[:3] *= buf[step, 2:5]  # da = d * a * (1 - a) for a in i, f, o
+        da[:3] *= np.subtract(1.0, buf[step, 2:5], out=tmp[:3])
+        np.multiply(dc, i, out=da[3])  # dag = dc * i * (1 - g * g)
+        da[3] *= np.subtract(1.0, np.multiply(g, g, out=tmp[3]), out=tmp[3])
+        for k, name in enumerate(_LSTM_GATES):
+            _accumulate(grads, name, da[k], x[:, step, :], h_prev, work)
+        np.matmul(da[0], t["Ui"], out=dh)  # dh = sum over gates of da @ U
+        for k, name in enumerate(_LSTM_GATES[1:], 1):
+            dh += np.matmul(da[k], t[f"U{name}"], out=tmp[0])
+        dc *= f
     return grads
 
 
 def _gru_forward(params, x, need_cache):
     t = params.tensors
     batch, l, _ = x.shape
-    h = np.zeros((batch, params.hidden_size))
-    cache = [] if need_cache else None
+    depth = l + 1 if need_cache else 2
+    # slot: h entering the step, then its z, r, candidate hh and r * h
+    buf = np.empty((depth, 5, batch, params.hidden_size))
+    buf[0, 0] = 0.0
+    tmp = np.empty_like(buf[0, 0])
     for step in range(l):
+        h, z, r, hh, rh = buf[step % depth]
+        h_new = buf[(step + 1) % depth, 0]
         xs = x[:, step, :]
-        z = _sigmoid(xs @ t["Wz"].T + h @ t["Uz"].T + t["bz"])
-        r = _sigmoid(xs @ t["Wr"].T + h @ t["Ur"].T + t["br"])
-        hh = np.tanh(xs @ t["Wh"].T + (r * h) @ t["Uh"].T + t["bh"])
-        h_new = (1.0 - z) * h + z * hh
-        if need_cache:
-            cache.append((xs, h, z, r, hh))
-        h = h_new
-    preds = h @ t["head_w"] + t["head_b"][0]
-    return preds, (h, cache)
+        _gate(z, xs, h, t, "z", tmp)
+        _gate(r, xs, h, t, "r", tmp)
+        _sigmoid(buf[step % depth, 1:3], out=buf[step % depth, 1:3])
+        _gate(hh, xs, np.multiply(r, h, out=rh), t, "h", tmp)
+        np.tanh(hh, out=hh)
+        np.subtract(1.0, z, out=h_new)  # h_new = (1 - z) * h + z * hh
+        h_new *= h
+        h_new += np.multiply(z, hh, out=tmp)
+    return buf[l % depth, 0] @ t["head_w"] + t["head_b"][0], (x, buf) if need_cache else None
 
 
-def _gru_backward(params, aux, dpred):
+def _gru_backward(params, aux, dpred, grads):
     t = params.tensors
-    h_last, cache = aux
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
-    grads["head_w"] = h_last.T @ dpred
-    grads["head_b"] = np.array([dpred.sum()])
-    dh = dpred[:, None] * t["head_w"][None, :]
-    for step in range(len(cache) - 1, -1, -1):
-        xs, h_prev, z, r, hh = cache[step]
-        dz = dh * (hh - h_prev)
-        dhh = dh * z
-        dh_prev = dh * (1.0 - z)
-        dah = dhh * (1.0 - hh * hh)
-        grads["Wh"] += dah.T @ xs
-        grads["Uh"] += dah.T @ (r * h_prev)
-        grads["bh"] += dah.sum(axis=0)
-        drh = dah @ t["Uh"]
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        grads["Wz"] += daz.T @ xs
-        grads["Uz"] += daz.T @ h_prev
-        grads["bz"] += daz.sum(axis=0)
-        grads["Wr"] += dar.T @ xs
-        grads["Ur"] += dar.T @ h_prev
-        grads["br"] += dar.sum(axis=0)
-        dh = dh_prev + daz @ t["Uz"] + dar @ t["Ur"]
+    x, buf = aux
+    dh = _head_backward(t, grads, buf[-1, 0], dpred)
+    dh_prev = np.empty_like(dh)
+    da = np.empty((3,) + dh.shape)  # d(pre-activation) of z, r, hh
+    daz, dar, dah = da
+    tmp = np.empty_like(da[:2])
+    work = (np.empty_like(t["Wz"]), np.empty_like(t["Uz"]))
+    for step in range(x.shape[1] - 1, -1, -1):
+        h_prev, z, r, hh, rh = buf[step]
+        xs = x[:, step, :]
+        np.subtract(hh, h_prev, out=daz)  # dz = dh * (hh - h_prev)
+        daz *= dh
+        np.multiply(dh, z, out=dah)  # dah = dh * z * (1 - hh * hh)
+        dah *= np.subtract(1.0, np.multiply(hh, hh, out=tmp[0]), out=tmp[0])
+        np.subtract(1.0, z, out=dh_prev)  # dh_prev = dh * (1 - z)
+        dh_prev *= dh
+        _accumulate(grads, "h", dah, xs, rh, work)
+        np.matmul(dah, t["Uh"], out=dh)  # drh = dah @ Uh; dh is spent
+        np.multiply(dh, h_prev, out=dar)  # dr = drh * h_prev
+        dh *= r  # dh_prev = dh_prev + drh * r
+        dh_prev += dh
+        da[:2] *= buf[step, 1:3]  # da = d * a * (1 - a) for a in z, r
+        da[:2] *= np.subtract(1.0, buf[step, 1:3], out=tmp)
+        _accumulate(grads, "z", daz, xs, h_prev, work)
+        _accumulate(grads, "r", dar, xs, h_prev, work)
+        dh_prev += np.matmul(daz, t["Uz"], out=tmp[0])  # dh = dh_prev + daz @ Uz + dar @ Ur
+        dh_prev += np.matmul(dar, t["Ur"], out=tmp[0])
+        dh, dh_prev = dh_prev, dh
     return grads
 
 
@@ -303,16 +365,13 @@ def _cnn_forward(params, x, need_cache):
     return preds, cache
 
 
-def _cnn_backward(params, aux, dpred):
+def _cnn_backward(params, aux, dpred, grads):
     t = params.tensors
     xcol, pre, flat = aux
-    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
-    grads["head_w"] = flat.T @ dpred
-    grads["head_b"] = np.array([dpred.sum()])
-    dflat = dpred[:, None] * t["head_w"][None, :]
+    dflat = _head_backward(t, grads, flat, dpred)
     dpre = dflat.reshape(pre.shape) * (pre > 0.0)
-    grads["conv_b"] = dpre.sum(axis=(0, 2))
-    grads["kernels"] = np.einsum("bct,btja->caj", dpre, xcol)
+    grads["conv_b"][...] = dpre.sum(axis=(0, 2))
+    grads["kernels"][...] = np.einsum("bct,btja->caj", dpre, xcol)
     return grads
 
 
@@ -414,11 +473,8 @@ def predict_batch(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
 def _penalty(params: NetworkParams, l2_lambda: float) -> float:
     if l2_lambda == 0.0:
         return 0.0
-    total = 0.0
-    for name in regularized_tensor_names(params.arch):
-        w = params.tensors[name]
-        total += float((w * w).sum())
-    return l2_lambda * total
+    w = params.vector[: params.prefix]
+    return l2_lambda * float(w @ w)
 
 
 def _loss_only(params, x, y, l2_lambda) -> float:
@@ -427,9 +483,10 @@ def _loss_only(params, x, y, l2_lambda) -> float:
     return float(np.mean(resid * resid)) + _penalty(params, l2_lambda)
 
 
-def loss_and_grads(params: NetworkParams, windows, targets, l2_lambda: float):
-    """Batch mean squared error plus the input-layer L2 penalty, with
-    gradients for every tensor."""
+def loss_and_grads(params: NetworkParams, windows, targets, l2_lambda: float, out=None):
+    """Batch mean squared error plus the input-layer L2 penalty, and its
+    gradient as one vector laid out like ``params.vector``: written into
+    ``out`` when given, else into a new array."""
     x = np.asarray(windows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     _check_batch(params, x)
@@ -437,53 +494,49 @@ def loss_and_grads(params: NetworkParams, windows, targets, l2_lambda: float):
         raise InvalidArgumentError("targets must align with a non-empty batch")
     preds, aux = _FORWARD[params.arch](params, x, need_cache=True)
     resid = preds - y
-    loss = float(np.mean(resid * resid)) + _penalty(params, float(l2_lambda))
+    lam = float(l2_lambda)
+    loss = float(np.mean(resid * resid)) + _penalty(params, lam)
     if not np.isfinite(loss):
         raise NumericDivergenceError("non-finite training loss")
     dpred = 2.0 * resid / x.shape[0]
-    grads = _BACKWARD[params.arch](params, aux, dpred)
-    lam = float(l2_lambda)
+    grads = np.empty_like(params.vector) if out is None else out
+    grads.fill(0.0)
+    _BACKWARD[params.arch](params, aux, dpred, params.views(grads))
     if lam != 0.0:
-        for name in regularized_tensor_names(params.arch):
-            grads[name] = grads[name] + 2.0 * lam * params.tensors[name]
+        grads[: params.prefix] += 2.0 * lam * params.vector[: params.prefix]
     return loss, grads
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First and second moment vectors, laid out like the parameter
+    vector, and the step counter; ``adam_step`` updates all three."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
 
     @classmethod
     def initialize(cls, params: NetworkParams) -> "AdamState":
-        zeros = lambda: {k: np.zeros_like(a) for k, a in params.tensors.items()}
-        return cls(m=zeros(), v=zeros(), t=0)
+        return cls(m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
-def adam_step(params: NetworkParams, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns new params and state."""
-    if set(grads) != set(params.tensors):
-        raise InvalidArgumentError("gradient names must match parameter names")
-    t_new = state.t + 1
-    c1 = 1.0 - _ADAM_BETA1 ** t_new
-    c2 = 1.0 - _ADAM_BETA2 ** t_new
-    new_tensors = {}
-    new_m = {}
-    new_v = {}
-    for name, arr in params.tensors.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != arr.shape:
-            raise InvalidArgumentError(f"gradient shape mismatch for {name}")
-        m = _ADAM_BETA1 * state.m[name] + (1.0 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * state.v[name] + (1.0 - _ADAM_BETA2) * (g * g)
-        update = lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
-        new_tensors[name] = arr - update
-        new_m[name] = m
-        new_v[name] = v
-    return params.with_tensors(new_tensors), AdamState(m=new_m, v=new_v, t=t_new)
+def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, in place on ``params.vector``
+    (which must be writable) and on ``state``."""
+    w = params.vector
+    if np.shape(grads) != w.shape or not w.flags.writeable:
+        raise InvalidArgumentError("adam_step needs a writable vector and a gradient like it")
+    state.t += 1
+    state.m *= _ADAM_BETA1
+    state.m += (1.0 - _ADAM_BETA1) * grads
+    state.v *= _ADAM_BETA2
+    state.v += (1.0 - _ADAM_BETA2) * (grads * grads)
+    denom = np.sqrt(state.v / (1.0 - _ADAM_BETA2 ** state.t))
+    denom += _ADAM_EPS
+    update = lr * (state.m / (1.0 - _ADAM_BETA1 ** state.t))
+    update /= denom
+    w -= update
 
 
 @dataclass(frozen=True)
@@ -546,71 +599,56 @@ def dataset_mse(params: NetworkParams, ds: WindowedDataset) -> float:
 def train(cfg: NetworkConfig, train_ds: WindowedDataset, val_ds: WindowedDataset):
     """Minibatch Adam with seeded shuffling and early stopping.
 
-    Returns (params, trace); the returned parameters are the snapshot
-    with the lowest recorded validation loss.  A non-finite loss raises
-    a divergence error carrying the partial trace.
+    Returns (params, trace); the returned parameters are a read-only
+    copy of the weights with the lowest recorded validation loss.
+    Training updates one private weight vector in place.  A non-finite
+    loss raises a divergence error carrying the partial trace.
     """
     if train_ds.m == 0 or val_ds.m == 0:
         raise InvalidArgumentError("train and validation sets must be non-empty")
     if (train_ds.l, train_ds.n) != (val_ds.l, val_ds.n):
         raise InvalidArgumentError("train and validation window shapes must match")
-    params = init_params(cfg, train_ds.n, train_ds.l)
+    initial = init_params(cfg, train_ds.n, train_ds.l)
+    params = replace(initial, vector=initial.vector.copy())
+    grads = np.empty_like(params.vector)
+    best = np.empty_like(params.vector)
     state = AdamState.initialize(params)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, 1))
     stopper = EarlyStopper(cfg.patience)
-    best_params = params
     train_losses: list[float] = []
     val_losses: list[float] = []
 
-    def partial_trace() -> TrainTrace:
-        epochs = len(val_losses)
-        return TrainTrace(
-            train_losses=tuple(train_losses),
-            val_losses=tuple(val_losses),
-            stopped_epoch=epochs,
-            best_epoch=stopper.best_epoch,
-            restored=False,
-        )
+    def trace_so_far(restored: bool = False) -> TrainTrace:
+        return TrainTrace(train_losses=tuple(train_losses), val_losses=tuple(val_losses),
+                          stopped_epoch=len(val_losses), best_epoch=stopper.best_epoch,
+                          restored=restored)
 
     for _epoch in range(1, cfg.max_epochs + 1):
         perm = shuffle_rng.permutation(train_ds.m)
         for start in range(0, train_ds.m, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             try:
-                _, grads = loss_and_grads(
-                    params,
-                    train_ds.windows[idx],
-                    train_ds.targets[idx],
-                    cfg.l2_lambda,
-                )
+                loss_and_grads(params, train_ds.windows[idx], train_ds.targets[idx],
+                               cfg.l2_lambda, out=grads)
             except NumericDivergenceError as exc:
-                raise NumericDivergenceError(str(exc), trace=partial_trace()) from None
-            params, state = adam_step(params, grads, state, cfg.learning_rate)
+                raise NumericDivergenceError(str(exc), trace=trace_so_far()) from None
+            adam_step(params, grads, state, cfg.learning_rate)
         train_mse = dataset_mse(params, train_ds)
         val_mse = dataset_mse(params, val_ds)
         if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
-            raise NumericDivergenceError(
-                "non-finite epoch loss", trace=partial_trace()
-            )
+            raise NumericDivergenceError("non-finite epoch loss", trace=trace_so_far())
         train_losses.append(train_mse)
         val_losses.append(val_mse)
         improved, stop = stopper.update(val_mse)
         if improved:
-            best_params = params
+            np.copyto(best, params.vector)
         if stop:
             break
 
-    stopped_epoch = len(val_losses)
-    restored = stopper.best_epoch < stopped_epoch
-    final = best_params if restored else params
-    trace = TrainTrace(
-        train_losses=tuple(train_losses),
-        val_losses=tuple(val_losses),
-        stopped_epoch=stopped_epoch,
-        best_epoch=stopper.best_epoch,
-        restored=restored,
-    )
-    return final, trace
+    # the first epoch always improves on inf, and without a restore the
+    # best epoch is the last one, so ``best`` holds the weights to return
+    best.setflags(write=False)
+    return replace(initial, vector=best), trace_so_far(stopper.best_epoch < len(val_losses))
 
 
 def grad_check(cfg: NetworkConfig, windows, targets, step: float = 1e-5) -> float:
@@ -618,23 +656,19 @@ def grad_check(cfg: NetworkConfig, windows, targets, step: float = 1e-5) -> floa
     central finite differences over every parameter coordinate."""
     x = np.asarray(windows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    params = init_params(cfg, x.shape[2], x.shape[1])
-    _, grads = loss_and_grads(params, x, y, cfg.l2_lambda)
+    initial = init_params(cfg, x.shape[2], x.shape[1])
+    _, grads = loss_and_grads(initial, x, y, cfg.l2_lambda)
+    probe = replace(initial, vector=initial.vector.copy())
+    w = probe.vector
     worst = 0.0
-    for name, arr in params.tensors.items():
-        flat = arr.ravel()
-        for k in range(flat.shape[0]):
-            for sign in (1.0, -1.0):
-                bumped = arr.copy()
-                bumped.ravel()[k] += sign * step
-                probe = params.with_tensors({**params.tensors, name: bumped})
-                value = _loss_only(probe, x, y, cfg.l2_lambda)
-                if sign > 0:
-                    up = value
-                else:
-                    down = value
-            numeric = (up - down) / (2.0 * step)
-            analytic = float(grads[name].ravel()[k])
-            denom = max(abs(analytic) + abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
+    for k in range(w.size):
+        base = w[k]
+        w[k] = base + step
+        up = _loss_only(probe, x, y, cfg.l2_lambda)
+        w[k] = base - step
+        down = _loss_only(probe, x, y, cfg.l2_lambda)
+        w[k] = base
+        numeric = (up - down) / (2.0 * step)
+        denom = max(abs(grads[k]) + abs(numeric), 1e-8)
+        worst = max(worst, abs(grads[k] - numeric) / denom)
+    return float(worst)

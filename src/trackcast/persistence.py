@@ -54,14 +54,10 @@ def _network_manifest(params: NetworkParams, prefix: str = ""):
 
 def _network_from_manifest(meta, lookup, prefix: str = "") -> NetworkParams:
     tensors = {name: lookup[prefix + name] for name in meta["tensor_order"]}
-    return NetworkParams(
-        arch=meta["arch"],
-        n_features=int(meta["n_features"]),
-        window_len=int(meta["window_len"]),
-        hidden_size=int(meta["hidden_size"]),
-        kernel_count=int(meta["kernel_count"]),
-        kernel_width=int(meta["kernel_width"]),
-        tensors=tensors,
+    return NetworkParams.from_tensors(
+        meta["arch"], int(meta["n_features"]), int(meta["window_len"]),
+        int(meta["hidden_size"]), int(meta["kernel_count"]), int(meta["kernel_width"]),
+        tensors,
     )
 
 

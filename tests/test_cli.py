@@ -15,6 +15,7 @@ from trackcast.cli import (
     main,
 )
 from trackcast.core import evaluate_metrics
+from trackcast.errors import IllPosedError, NumericDivergenceError
 from trackcast.ensemble import EnsembleModel, ensemble_predict_batch
 from trackcast.ingest import SynthConfig, generate_synthetic, read_csv, write_csv
 from trackcast.neural import predict_batch
@@ -395,6 +396,29 @@ class TestRun:
         assert lines[0] == "False"
         assert lines[-1] == f"{EXIT_OK} 1 False"
 
+    def test_run_needs_no_scipy(self, cli_workspace, tmp_path):
+        """scipy is a test dependency only: a run of every model kind
+        succeeds where importing scipy fails."""
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import trackcast.cli as cli\n"
+            "sys.exit(cli.main(['run', '--config', sys.argv[1], '--data', sys.argv[2],\n"
+            "                   '--out-dir', sys.argv[3], '--models', 'lr,arima,gru,cnn']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out_dir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cli_workspace["config"], cli_workspace["data"],
+             str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert sorted(os.listdir(out_dir)) == [
+            "arima.tckm", "cnn.tckm", "gru.tckm", "lr.tckm", "report.json"]
+
     def test_filter_proportion_flag_enables_filtering(self, cli_workspace, tmp_path):
         code, out_dir = run_cli(cli_workspace, tmp_path,
                                 "--filter-proportion", "0.3")
@@ -458,6 +482,53 @@ class TestFilterSweep:
         for part in ("train", "val", "test"):
             assert row[f"{part}_mse"] == plain[part]["mse"]
             assert row[f"{part}_mae"] == plain[part]["mae"]
+
+    def test_ill_posed_fit_keeps_report(self, tmp_path, capsys):
+        # 16 rows leave too few train windows for ARIMAX(2,0,1) at every
+        # proportion: a fault of the data, reported per row
+        table = generate_synthetic(SynthConfig(
+            n_rows=16, n_features=12, seed=7,
+            constant_feature_count=2, irrelevant_feature_count=3,
+        ))
+        data = tmp_path / "tiny.csv"
+        write_csv(table, data)
+        path = write_config(tmp_path, {
+            "preprocess": {"window_width": 8},
+            "model": {"models": ["arima"], "arima_order": [2, 0, 1]},
+        })
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", path, "--data", str(data),
+                     "--proportions", "0,0.5", "--out", str(out)])
+        assert code == EXIT_IO
+        doc = json.loads(out.read_text())
+        assert [r["proportion"] for r in doc["sweep"]] == [0.0, 0.5]
+        for row in doc["sweep"]:
+            assert all(row[f"{p}_{m}"] is None for p in ("train", "val", "test")
+                       for m in ("mse", "mae"))
+        assert sorted(doc["errors"]) == ["proportion=0.0", "proportion=0.5"]
+        assert all(e.startswith("ill-posed fit: ") and "cannot determine" in e
+                   for e in doc["errors"].values())
+        assert "config error" not in capsys.readouterr().err
+
+    def test_ill_posed_and_divergence_exit_with_the_lower_code(self, cli_workspace, tmp_path,
+                                                               monkeypatch):
+        failures = iter([NumericDivergenceError("non-finite training loss"),
+                         IllPosedError("6 windows cannot determine 8 coefficients")])
+
+        def train_one(*_args):
+            raise next(failures)
+
+        monkeypatch.setattr(cli, "_train_one_model", train_one)
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", cli_workspace["config"],
+                     "--data", cli_workspace["data"],
+                     "--proportions", "0,0.5", "--out", str(out)])
+        assert code == EXIT_IO
+        errors = json.loads(out.read_text())["errors"]
+        assert errors == {
+            "proportion=0.0": "numeric divergence: non-finite training loss",
+            "proportion=0.5": "ill-posed fit: 6 windows cannot determine 8 coefficients",
+        }
 
     def test_sweep_missing_data_file(self, cli_workspace, tmp_path):
         code = main(["filter-sweep", "--config", cli_workspace["config"],

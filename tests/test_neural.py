@@ -1,9 +1,14 @@
 import sys
 import threading
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import per_tensor_reference as ref
 
 from trackcast.core import WindowedDataset
 from trackcast.errors import InvalidArgumentError, NumericDivergenceError
@@ -143,6 +148,24 @@ class TestForward:
             predict_batch(p, np.zeros((2, 6, 3)))
 
 
+class TestInferenceMemory:
+    @pytest.mark.parametrize("arch", ["lstm", "gru"])
+    def test_chunks_free_their_work_buffers(self, arch):
+        """A chunk's work buffer is freed when its forward ends, so peak
+        memory does not grow with the number of chunks."""
+        p = init_params(small_cfg(arch, hidden_size=32), 3, 8)
+        x = np.random.default_rng(0).normal(size=(8 * neural._PREDICT_CHUNK, 8, 3))
+        slots = 7 if arch == "lstm" else 5
+        chunk_buffer = 2 * slots * neural._PREDICT_CHUNK * 32 * 8  # bytes
+        tracemalloc.start()
+        try:
+            predict_batch(p, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk_buffer
+
+
 class TestSigmoid:
     def test_matches_logistic_function(self):
         x = np.linspace(-40.0, 40.0, 160001)
@@ -177,8 +200,8 @@ class TestLoss:
     def test_penalty_gradient_spares_head(self):
         ds = make_ds()
         p = init_params(small_cfg("gru"), ds.n, ds.l)
-        _, g0 = loss_and_grads(p, ds.windows, ds.targets, 0.0)
-        _, g1 = loss_and_grads(p, ds.windows, ds.targets, 0.05)
+        g0 = p.views(loss_and_grads(p, ds.windows, ds.targets, 0.0)[1])
+        g1 = p.views(loss_and_grads(p, ds.windows, ds.targets, 0.05)[1])
         for name in regularized_tensor_names("gru"):
             assert np.allclose(g1[name] - g0[name], 0.1 * p.tensors[name], atol=1e-12)
         for name in ("head_w", "head_b", "bz", "br", "bh"):
@@ -197,37 +220,99 @@ class TestLoss:
         assert worst < 1e-5
 
 
+def writable(p):
+    """The parameters over a private writable copy of their vector, as
+    train keeps them."""
+    return replace(p, vector=p.vector.copy())
+
+
 class TestAdam:
     def test_first_step_hand_formula(self):
         p = init_params(small_cfg("cnn"), 3, 5)
-        grads = {k: np.ones_like(a) for k, a in p.tensors.items()}
-        new_p, state = adam_step(p, grads, AdamState.initialize(p), lr=0.1)
+        live = writable(p)
+        state = AdamState.initialize(live)
+        adam_step(live, np.ones_like(live.vector), state, lr=0.1)
         assert state.t == 1
         # bias correction makes the first update lr * g / (|g| + eps)
         expected_delta = 0.1 * 1.0 / (1.0 + 1e-8)
         for name, arr in p.tensors.items():
-            assert np.allclose(arr - new_p.tensors[name], expected_delta, rtol=1e-9)
+            assert np.allclose(arr - live.tensors[name], expected_delta, rtol=1e-9)
 
     def test_state_accumulates(self):
-        p = init_params(small_cfg("cnn"), 3, 5)
-        grads = {k: np.ones_like(a) for k, a in p.tensors.items()}
-        s = AdamState.initialize(p)
-        p1, s1 = adam_step(p, grads, s, lr=0.01)
-        _, s2 = adam_step(p1, grads, s1, lr=0.01)
-        assert s2.t == 2
-        assert s2.m["kernels"][0, 0, 0] > s1.m["kernels"][0, 0, 0]
+        live = writable(init_params(small_cfg("cnn"), 3, 5))
+        grads = np.ones_like(live.vector)
+        s = AdamState.initialize(live)
+        adam_step(live, grads, s, lr=0.01)
+        m1 = live.views(s.m)["kernels"][0, 0, 0]
+        adam_step(live, grads, s, lr=0.01)
+        assert s.t == 2
+        assert live.views(s.m)["kernels"][0, 0, 0] > m1
 
     def test_name_mismatch_rejected(self):
-        p = init_params(small_cfg("cnn"), 3, 5)
+        live = writable(init_params(small_cfg("cnn"), 3, 5))
         with pytest.raises(InvalidArgumentError):
-            adam_step(p, {"kernels": np.zeros((3, 3, 3))}, AdamState.initialize(p), 0.1)
+            adam_step(live, {"kernels": np.zeros((3, 3, 3))}, AdamState.initialize(live), 0.1)
 
     def test_shape_mismatch_rejected(self):
+        live = writable(init_params(small_cfg("cnn"), 3, 5))
+        for grads in (np.ones(99), np.ones((1, live.vector.size))):
+            with pytest.raises(InvalidArgumentError):
+                adam_step(live, grads, AdamState.initialize(live), 0.1)
+
+    def test_read_only_params_rejected_untouched(self):
         p = init_params(small_cfg("cnn"), 3, 5)
-        grads = {k: np.ones_like(a) for k, a in p.tensors.items()}
-        grads["conv_b"] = np.ones(99)
+        state = AdamState.initialize(p)
         with pytest.raises(InvalidArgumentError):
-            adam_step(p, grads, AdamState.initialize(p), 0.1)
+            adam_step(p, np.ones_like(p.vector), state, 0.1)
+        assert state.t == 0 and not state.m.any()
+
+
+class TestFlatVector:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_tensors_are_views_with_regularized_prefix(self, arch):
+        p = init_params(small_cfg(arch), 3, 5)
+        assert p.parameter_count() == sum(a.size for a in p.tensors.values())
+        assert all(np.shares_memory(a, p.vector) for a in p.tensors.values())
+        reg = regularized_tensor_names(arch)
+        assert p.prefix == sum(p.tensors[k].size for k in reg)
+        assert np.array_equal(p.vector[: p.prefix],
+                              np.concatenate([p.tensors[k].ravel() for k in reg]))
+        assert not p.vector.flags.writeable
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        arch=st.sampled_from(ARCHS),
+        n=st.integers(1, 4),
+        l=st.integers(3, 6),
+        size=st.integers(1, 5),
+        batch=st.integers(2, 9),
+        lam=st.sampled_from([0.0, 1e-3, 0.5]),
+        steps=st.integers(3, 6),  # step 3 is the one-window batch
+        seed=st.integers(0, 2**16),
+    )
+    def test_steps_bit_identical_to_per_tensor_reference(self, arch, n, l, size, batch,
+                                                          lam, steps, seed):
+        cfg = small_cfg(arch, hidden_size=size, kernel_count=size,
+                        kernel_width=min(size, l - 1), seed=seed)
+        rng = np.random.default_rng(seed)
+        m = batch * 2 + 1  # the last batch of each pass holds one window
+        windows, targets = rng.normal(size=(m, l, n)), rng.normal(size=m)
+        live = writable(init_params(cfg, n, l))
+        grads, state = np.empty_like(live.vector), AdamState.initialize(live)
+        tensors = {k: a.copy() for k, a in live.tensors.items()}
+        moments = [{k: np.zeros_like(a) for k, a in tensors.items()} for _ in "mv"]
+        passes = [rng.permutation(m) for _ in range(2)]  # minibatches as train draws them
+        batches = [perm[a : a + batch] for perm in passes for a in range(0, m, batch)]
+        for t, idx in enumerate(batches[:steps], 1):
+            x, y = windows[idx], targets[idx]
+            loss, _ = loss_and_grads(live, x, y, lam, out=grads)
+            adam_step(live, grads, state, 1e-2)
+            want_loss, want = ref.loss_and_grads(arch, tensors, x, y, lam)
+            tensors, *moments = ref.adam_step(tensors, want, *moments, t, 1e-2)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+        for name, arr in tensors.items():
+            assert live.tensors[name].tobytes() == arr.tobytes(), name
+            assert live.views(state.m)[name].tobytes() == moments[0][name].tobytes(), name
 
 
 class TestEarlyStopper:
@@ -406,6 +491,34 @@ class TestTrain:
         # returned weights reproduce the best epoch's validation loss exactly
         assert dataset_mse(params, va) == trace.val_losses[trace.best_epoch - 1]
         assert trace.val_losses[trace.best_epoch - 1] == min(trace.val_losses)
+
+    def test_returns_a_read_only_copy_of_the_best_epoch(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        tr = WindowedDataset(windows=rng.normal(size=(24, 5, 3)),
+                             targets=rng.normal(size=24), l=5, n=3, target_feature=0)
+        va = WindowedDataset(windows=rng.normal(size=(16, 5, 3)),
+                             targets=rng.normal(size=16) * 5.0, l=5, n=3, target_feature=0)
+        cfg = NetworkConfig(arch="lstm", hidden_size=8, batch_size=8, max_epochs=60,
+                            patience=2, learning_rate=3e-2, l2_lambda=0.0, seed=1)
+        real, live, epochs = neural.dataset_mse, [], []
+
+        def spy(params, ds):  # the end-of-epoch weights, read on the train set
+            if ds is tr:
+                live.append(params.vector)
+                epochs.append(params.vector.copy())
+            return real(params, ds)
+
+        monkeypatch.setattr(neural, "dataset_mse", spy)
+        params, trace = train(cfg, tr, va)
+        assert trace.restored and trace.best_epoch < trace.stopped_epoch
+        assert params.vector.tobytes() == epochs[trace.best_epoch - 1].tobytes()
+        assert params.vector.tobytes() != epochs[-1].tobytes()
+        assert not params.vector.flags.writeable
+        with pytest.raises(ValueError):
+            params.tensors["Wi"][0, 0] = 1.0
+        assert all(v is live[0] for v in live)  # one live vector all along
+        assert live[0].flags.writeable
+        assert not np.shares_memory(params.vector, live[0])
 
     @pytest.mark.parametrize("arch,kw", [
         ("lstm", {}), ("gru", {}), ("cnn", {"kernel_count": 8}),

@@ -1,0 +1,33 @@
+"""Smoke tests of the command-line scripts under ``scripts/``, which
+import package internals."""
+import os
+import subprocess
+import sys
+
+import trackcast
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    src = os.path.dirname(os.path.dirname(trackcast.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_check_gradients_passes_every_model():
+    proc = run_script("check_gradients.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["lstm", "gru", "cnn", "arimax"]
+    for line in lines:
+        assert float(line.split()[4]) < 1e-4 and line.endswith("ok"), line
+
+
+def test_reproduce_tables_runs_small():
+    proc = run_script("reproduce_tables.py", "--rows", "1500", "--epochs", "1",
+                      "--members", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "== " in proc.stdout

@@ -4,38 +4,28 @@
 Generates measurements, runs the preprocessing pipeline, trains every
 forecaster plus the ensemble variants, and prints three comparison
 tables: single models, ensembles, and the low-variance filter sweep.
+The settings are one config checked by the CLI's schema, and every
+model trains through the CLI's model dispatch, so each row holds the
+metrics ``trackcast run`` would report for that config.
 
 With default settings this takes a few minutes on one core; use
 --rows/--epochs/--members to trade fidelity for speed.
 """
 import argparse
 import time
+from dataclasses import replace
 
-import numpy as np
-
-from trackcast.core import SplitSet, evaluate_metrics
-from trackcast.ensemble import (
-    ensemble_predict_batch,
-    train_bagging,
-    train_boosting,
-    with_stacker,
-)
+from trackcast import cli
+from trackcast.ensemble import EnsembleConfig
 from trackcast.ingest import SynthConfig, generate_synthetic
-from trackcast.linear import (
-    fit_arimax,
-    fit_linear,
-    predict_arimax_batch,
-    predict_linear_batch,
-)
-from trackcast.neural import NetworkConfig, predict_batch, train
-from trackcast.preprocess import FilterConfig, PreprocessConfig, run_preprocess
+from trackcast.preprocess import PreprocessConfig, run_preprocess
 
 
-def metrics_row(name, predict, split: SplitSet):
+def metrics_row(name, entry):
     cells = [name]
-    for part in (split.train, split.val, split.test):
-        pair = evaluate_metrics(part.targets, predict(part.windows))
-        cells += [f"{pair.mse:.6f}", f"{pair.mae:.6f}"]
+    for part in ("train", "val", "test"):
+        pair = entry["metrics"][part]
+        cells += [f"{pair['mse']:.6f}", f"{pair['mae']:.6f}"]
     return cells
 
 
@@ -49,19 +39,6 @@ def print_table(title, rows):
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
 
 
-def net_cfg(arch, args, seed=0):
-    return NetworkConfig(
-        arch=arch,
-        hidden_size=args.hidden_size,
-        kernel_count=5,
-        kernel_width=5,
-        batch_size=128,
-        max_epochs=args.epochs,
-        patience=3,
-        seed=seed,
-    )
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rows", type=int, default=30000)
@@ -71,54 +48,59 @@ def main():
     ap.add_argument("--seed", type=int, default=20)
     args = ap.parse_args()
 
+    cfg = cli._check_config({
+        "synth": {"n_rows": args.rows, "seed": args.seed},
+        "preprocess": {"window_width": 8},
+        "filter": {"variance_threshold": 0.002, "seed": 11},
+        "model": {"arima_order": [2, 0, 0], "hidden_size": args.hidden_size},
+        "train": {"max_epochs": args.epochs},
+    })
+    pre_cfg = PreprocessConfig(**cfg["preprocess"])
+
+    def train(name, split, ensemble=EnsembleConfig(), seed=None):
+        """The report entry of model ``name`` trained as ``trackcast run``
+        trains it; ``seed`` replaces the network's training seed."""
+        setting = cli._model_setting(cfg, name, pre_cfg.window_width)
+        if seed is not None:
+            setting = replace(setting, seed=seed)
+        return cli._train_one_model(name, setting, split, ensemble)[0]
+
     t0 = time.perf_counter()
-    table = generate_synthetic(SynthConfig(n_rows=args.rows, seed=args.seed))
-    split, audit = run_preprocess(table, PreprocessConfig(window_width=8))
+    table = generate_synthetic(SynthConfig(**cfg["synth"]))
+    split, audit = run_preprocess(table, pre_cfg)
     print(f"dataset: {args.rows} rows -> {audit.windows_total} windows "
           f"({split.train.m} train / {split.val.m} val / {split.test.m} test), "
           f"{split.train.n} features")
     print(f"dropped constant columns: {', '.join(audit.dropped_constant_columns) or 'none'}")
     print(f"dropped weak features: {', '.join(audit.dropped_features) or 'none'}")
 
-    rows = []
-    lr = fit_linear(split.train)
-    rows.append(metrics_row("lr", lambda w: predict_linear_batch(lr, w), split))
-    ar = fit_arimax(split.train, 2, 0, 0)
-    rows.append(metrics_row("arima(2,0,0)", lambda w: predict_arimax_batch(ar, w), split))
+    rows = [metrics_row("lr", train("lr", split))]
+    entry = train("arima", split)
+    rows.append(metrics_row("arima({},{},{})".format(*entry["details"]["order"]), entry))
     for arch in ("lstm", "gru", "cnn"):
-        params, trace = train(net_cfg(arch, args), split.train, split.val)
-        label = f"{arch} (ep {trace.best_epoch}/{trace.stopped_epoch})"
-        rows.append(metrics_row(label, lambda w, p=params: predict_batch(p, w), split))
+        entry = train(arch, split)
+        label = f"{arch} (ep {entry['trace']['best_epoch']}/{entry['trace']['stopped_epoch']})"
+        rows.append(metrics_row(label, entry))
     print_table("single models", rows)
 
+    # the mean and the stacked rows train the same members (same seeds)
     rows = []
-    bag = train_bagging(net_cfg("cnn", args, seed=1), args.members,
-                        split.train, split.val)
-    rows.append(metrics_row(f"bagging x{args.members} (mean)",
-                            lambda w: ensemble_predict_batch(bag, w), split))
-    stacked = with_stacker(bag, split.val)
-    tag = stacked.combiner.kind
-    rows.append(metrics_row(f"bagging x{args.members} ({tag})",
-                            lambda w: ensemble_predict_batch(stacked, w), split))
-    boost = train_boosting(net_cfg("cnn", args, seed=2), args.members, 0.05,
-                           split.train, split.val)
-    rows.append(metrics_row(f"boosting x{len(boost.members)} (thr 0.05)",
-                            lambda w: ensemble_predict_batch(boost, w), split))
+    for stack in (False, True):
+        entry = train("cnn", split, EnsembleConfig("bagging", args.members, stack=stack), seed=1)
+        tag = entry["ensemble"]["combiner"]["kind"]
+        rows.append(metrics_row(f"bagging x{args.members} ({tag})", entry))
+    entry = train("cnn", split, EnsembleConfig("boosting", args.members, 0.05), seed=2)
+    rows.append(metrics_row(f"boosting x{entry['ensemble']['member_count']} (thr 0.05)", entry))
     print_table("ensembles (cnn base)", rows)
 
     print("\n== low-variance filter sweep (lr) ==")
     print("proportion  discarded  train_size  train_mse  test_mse")
     for prop in (0.0, 0.2, 0.5, 0.8):
-        fcfg = FilterConfig(variance_threshold=0.002, discard_proportion=prop,
-                            seed=11)
-        fsplit, faudit = run_preprocess(table, PreprocessConfig(window_width=8), fcfg)
-        m = fit_linear(fsplit.train)
-        tr = evaluate_metrics(fsplit.train.targets,
-                              predict_linear_batch(m, fsplit.train.windows))
-        te = evaluate_metrics(fsplit.test.targets,
-                              predict_linear_batch(m, fsplit.test.windows))
+        fsplit, faudit = run_preprocess(table, pre_cfg, cli._filter_config(cfg, prop))
+        metrics = train("lr", fsplit)["metrics"]
         print(f"{prop:<10.1f}  {faudit.filter_discarded:<9d}  "
-              f"{fsplit.train.m:<10d}  {tr.mse:<9.6f}  {te.mse:.6f}")
+              f"{fsplit.train.m:<10d}  {metrics['train']['mse']:<9.6f}  "
+              f"{metrics['test']['mse']:.6f}")
 
     print(f"\ntotal {time.perf_counter() - t0:.1f}s")
 

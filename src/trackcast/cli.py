@@ -2,10 +2,14 @@
 
 Three subcommands wire the pipeline end to end from one JSON config:
 ``synth`` writes a generated CSV, ``run`` preprocesses + trains +
-reports, ``filter-sweep`` repeats a run across filter proportions.
+reports, ``filter-sweep`` trains the first model in ``model.models``
+(ensembled as a run would) once per filter proportion.  The config's
+keys and value types are read from the dataclasses each section sets
+(``_SCHEMA``); a wrong key or type is a configuration problem.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O or data-file
-problem, 4 numeric divergence during training.  When ``run`` fails to
+problem (including data with too few windows to split), 4 numeric
+divergence during training.  When ``run`` fails to
 fit a model, because it diverged (4) or the data holds too few windows
 for its coefficients (3), the report is still written with whatever
 finished; 3 wins over 4.
@@ -17,7 +21,9 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from dataclasses import fields, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import ensemble as ens
 from . import linear as lin
@@ -49,29 +55,71 @@ EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
 MODEL_NAMES = ("lr", "arima", "lstm", "gru", "cnn")
-ENSEMBLE_METHODS = ("none", "bagging", "boosting")
+_NET_SIZES = ("hidden_size", "kernel_count", "kernel_width")
 
-_SECTION_KEYS = {
-    "synth": {
-        "n_rows", "n_features", "outlier_rate", "constant_feature_count",
-        "irrelevant_feature_count", "uneven_segment_rate", "seed",
-    },
-    "data": {"mileage_column", "meters_column", "target_column"},
-    "preprocess": {
-        "zscore_threshold", "correlation_threshold", "window_width",
-        "split_fractions", "shuffle_seed",
-    },
-    "filter": {"variance_threshold", "discard_proportion", "seed"},
-    "model": {"models", "arima_order", "hidden_size", "kernel_count", "kernel_width"},
-    "ensemble": {"method", "members", "boost_threshold", "boost_residual_scope", "stack"},
-    "train": {
-        "batch_size", "max_epochs", "patience", "learning_rate", "l2_lambda", "seed",
-    },
+
+def _hints(cls) -> dict:
+    """Field name -> declared type of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+_NET_HINTS = _hints(net.NetworkConfig)
+# section -> key -> type: each section's keys are the fields of the
+# dataclass it sets; "model" also names the models and the ARIMA order
+_SCHEMA = {
+    "synth": _hints(SynthConfig),
+    "data": _hints(CsvSchema),
+    "preprocess": _hints(PreprocessConfig),
+    "filter": _hints(FilterConfig),
+    "model": {"models": list[str], "arima_order": tuple[int, int, int],
+              **{k: _NET_HINTS[k] for k in _NET_SIZES}},
+    "ensemble": _hints(ens.EnsembleConfig),
+    "train": {k: t for k, t in _NET_HINTS.items() if k != "arch" and k not in _NET_SIZES},
 }
 
 
+def _accepts(hint, value) -> bool:
+    """Whether a decoded JSON value has the type a field declares: an
+    integer (not a boolean) for int, an integer or a float for float, a
+    list of the right length for a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_accepts(a, value) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_accepts(args[0], v) for v in value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(_accepts(a, v) for a, v in zip(args, value)))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
+def _check_config(cfg) -> dict:
+    """Reject unknown sections and keys, and values of the wrong type."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    for section, body in cfg.items():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        unknown = set(body) - set(_SCHEMA[section])
+        if unknown:
+            raise ConfigError(
+                f"unknown keys in config section {section!r}: {sorted(unknown)}"
+            )
+        for key, value in body.items():
+            hint = _SCHEMA[section][key]
+            if not _accepts(hint, value):
+                name = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ConfigError(f"{section}.{key} must be {name}, got {json.dumps(value)}")
+    return cfg
+
+
 def load_config(path) -> dict:
-    """Parse and structurally validate the JSON config file."""
+    """Parse the JSON config file and check it against the schema."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -79,66 +127,21 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    for section, body in cfg.items():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(body) - _SECTION_KEYS[section]
-        if unknown:
-            raise ConfigError(
-                f"unknown keys in config section {section!r}: {sorted(unknown)}"
-            )
-    return cfg
-
-
-@contextmanager
-def _section_values(where: str):
-    """Report a value the config cannot take, whether a range check or a
-    failed int()/float()/tuple() coercion rejects it, as a ConfigError."""
-    try:
-        yield
-    except (InvalidArgumentError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _synth_config(cfg: dict) -> SynthConfig:
-    body = dict(cfg.get("synth", {}))
-    if "n_rows" not in body:
-        raise ConfigError("synth section must set n_rows")
-    with _section_values("synth section"):
-        return SynthConfig(**body)
-
-
-def _schema(cfg: dict) -> CsvSchema:
-    return CsvSchema(**cfg.get("data", {}))
-
-
-def _preprocess_config(cfg: dict) -> PreprocessConfig:
-    body = dict(cfg.get("preprocess", {}))
-    with _section_values("preprocess section"):
-        if "split_fractions" in body:
-            body["split_fractions"] = tuple(body["split_fractions"])
-        return PreprocessConfig(**body)
+    return _check_config(cfg)
 
 
 def _filter_config(cfg: dict, override_proportion) -> FilterConfig | None:
     body = dict(cfg.get("filter", {}))
     if override_proportion is not None:
-        body["discard_proportion"] = float(override_proportion)
-    if not body and override_proportion is None:
-        return None
-    with _section_values("filter section"):
-        return FilterConfig(**body)
+        body["discard_proportion"] = override_proportion
+    return FilterConfig(**body) if body else None
 
 
 def _model_list(cfg: dict, override) -> list[str]:
     if override is not None:
         names = [s.strip() for s in override.split(",") if s.strip()]
     else:
-        names = list(cfg.get("model", {}).get("models", ["lr"]))
+        names = cfg.get("model", {}).get("models", ["lr"])
     if not names:
         raise ConfigError("no models selected")
     seen = []
@@ -153,74 +156,30 @@ def _model_list(cfg: dict, override) -> list[str]:
     return seen
 
 
-def _network_config(cfg: dict, arch: str) -> net.NetworkConfig:
-    model = cfg.get("model", {})
-    train_sec = cfg.get("train", {})
-    with _section_values("model/train section"):
-        return net.NetworkConfig(
-            arch=arch,
-            hidden_size=int(model.get("hidden_size", 32)),
-            kernel_count=int(model.get("kernel_count", 5)),
-            kernel_width=int(model.get("kernel_width", 5)),
-            l2_lambda=float(train_sec.get("l2_lambda", 1e-4)),
-            batch_size=int(train_sec.get("batch_size", 128)),
-            max_epochs=int(train_sec.get("max_epochs", 100)),
-            patience=int(train_sec.get("patience", 3)),
-            learning_rate=float(train_sec.get("learning_rate", 1e-3)),
-            seed=int(train_sec.get("seed", 0)),
-        )
-
-
-def _arima_order(cfg: dict, window_len: int) -> tuple[int, int, int]:
-    order = cfg.get("model", {}).get("arima_order", [2, 0, 0])
-    if not (isinstance(order, (list, tuple)) and len(order) == 3):
-        raise ConfigError("arima_order must be a list [p, d, q]")
-    with _section_values("model section: arima_order"):
-        return lin.check_order(*order, window_len)
-
-
 def _model_setting(cfg: dict, name: str, window_len: int):
     """What training model ``name`` needs besides the data: the ARIMA
     order, the network config, or nothing for ``lr``; checked against
     the window length the preprocessing will cut."""
+    model = cfg.get("model", {})
     if name == "lr":
         return None
     if name == "arima":
-        return _arima_order(cfg, window_len)
-    net_cfg = _network_config(cfg, name)
-    if name == "cnn" and net_cfg.kernel_width >= int(window_len):
+        return lin.check_order(*model.get("arima_order", (2, 0, 0)), window_len)
+    sizes = {k: v for k, v in model.items() if k in _NET_SIZES}
+    net_cfg = net.NetworkConfig(arch=name, **sizes, **cfg.get("train", {}))
+    if name == "cnn" and net_cfg.kernel_width >= window_len:
         raise ConfigError(f"model section: kernel_width {net_cfg.kernel_width}"
                           f" must be smaller than window_width {window_len}")
     return net_cfg
 
 
-def _ensemble_settings(cfg: dict, method_override, stack_override):
-    body = cfg.get("ensemble", {})
-    method = method_override if method_override is not None else body.get("method", "none")
-    if method not in ENSEMBLE_METHODS:
-        raise ConfigError(
-            f"ensemble method must be one of {', '.join(ENSEMBLE_METHODS)}"
-        )
-    stack = bool(body.get("stack", False)) or bool(stack_override)
-    with _section_values("ensemble section"):
-        members = int(body.get("members", 5))
-        boost_threshold = float(body.get("boost_threshold", 0.15))
-    scope = body.get("boost_residual_scope", "original")
-    if members < 1:
-        raise ConfigError("ensemble members must be positive")
-    if not boost_threshold > 0.0:
-        raise ConfigError("ensemble boost_threshold must be positive")
-    if scope not in ens.RESIDUAL_SCOPES:
-        raise ConfigError(
-            f"boost_residual_scope must be one of {', '.join(ens.RESIDUAL_SCOPES)}"
-        )
-    return {
-        "method": method,
-        "members": members,
-        "boost_threshold": boost_threshold,
-        "boost_residual_scope": scope,
-        "stack": stack,
-    }
+def _ensemble_config(cfg: dict, method_override, stack_override) -> ens.EnsembleConfig:
+    body = dict(cfg.get("ensemble", {}))
+    if method_override is not None:
+        body["method"] = method_override
+    if stack_override:
+        body["stack"] = True
+    return ens.EnsembleConfig(**body)
 
 
 def _parts(split: SplitSet):
@@ -249,7 +208,7 @@ def _split_metrics(predict_fn, split: SplitSet) -> dict:
     return _metrics_of(_predict_parts(predict_fn, split), split)
 
 
-def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
+def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleConfig):
     """Train one configured model from its ``_model_setting``;
     returns (entry dict, model object)."""
     if name == "lr":
@@ -275,7 +234,7 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
         }
         return entry, model
     net_cfg = setting
-    if ens_settings["method"] == "none":
+    if ens_cfg.method == "none":
         params, trace = net.train(net_cfg, split.train, split.val)
         entry = {
             "kind": "network",
@@ -283,21 +242,21 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_settings: dict):
             "trace": trace_as_dict(trace),
         }
         return entry, params
-    if ens_settings["method"] == "bagging":
-        model = ens.train_bagging(net_cfg, ens_settings["members"], split.train, split.val)
+    if ens_cfg.method == "bagging":
+        model = ens.train_bagging(net_cfg, ens_cfg.members, split.train, split.val)
     else:
         model = ens.train_boosting(
             net_cfg,
-            ens_settings["members"],
-            ens_settings["boost_threshold"],
+            ens_cfg.members,
+            ens_cfg.boost_threshold,
             split.train,
             split.val,
-            residual_scope=ens_settings["boost_residual_scope"],
+            residual_scope=ens_cfg.boost_residual_scope,
         )
     # one prediction pass per member and part feeds the stacker, the
     # member metrics and the ensemble metrics
     cols = _predict_parts(lambda w: ens.member_predictions(model.members, w), split)
-    if ens_settings["stack"]:
+    if ens_cfg.stack:
         model = ens.with_stacker(model, split.val, cols["val"])
     member_metrics = [
         _metrics_of({part: c[:, j] for part, c in cols.items()}, split)
@@ -357,8 +316,9 @@ def _effective_config(cfg: dict, overrides: dict) -> dict:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    synth_cfg = _synth_config(cfg)
-    table = generate_synthetic(synth_cfg)
+    if "n_rows" not in cfg.get("synth", {}):
+        raise ConfigError("synth section must set n_rows")
+    table = generate_synthetic(SynthConfig(**cfg["synth"]))
     write_csv(table, args.out)
     print(f"wrote {table.n_rows} rows x {table.n_columns} columns to {args.out}")
     return EXIT_OK
@@ -385,19 +345,18 @@ def _fit_failure(exc) -> tuple[int, str]:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     models = _model_list(cfg, args.models)
-    pre_cfg = _preprocess_config(cfg)
+    pre_cfg = PreprocessConfig(**cfg.get("preprocess", {}))
     settings = {name: _model_setting(cfg, name, pre_cfg.window_width) for name in models}
-    ens_settings = _ensemble_settings(cfg, args.ensemble, args.stack)
+    ens_cfg = _ensemble_config(cfg, args.ensemble, args.stack)
     filter_cfg = _filter_config(cfg, args.filter_proportion)
-    schema = _schema(cfg)
 
     timings: dict[str, float] = {}
-    table = _read_data(args.data, schema, timings)
+    table = _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
     split, audit = run_preprocess(table, pre_cfg, filter_cfg)
     timings["preprocess_seconds"] = time.perf_counter() - t0
+    os.makedirs(args.out_dir, exist_ok=True)
 
     entries: dict[str, dict] = {}
     errors: dict[str, str] = {}
@@ -405,7 +364,7 @@ def cmd_run(args) -> int:
     for name in models:
         t0 = time.perf_counter()
         try:
-            entry, model = _train_one_model(name, settings[name], split, ens_settings)
+            entry, model = _train_one_model(name, settings[name], split, ens_cfg)
         except (NumericDivergenceError, IllPosedError) as exc:
             code, errors[name] = _fit_failure(exc)
             failure_codes.add(code)
@@ -458,27 +417,21 @@ def cmd_filter_sweep(args) -> int:
     proportions = _parse_proportions(args.proportions)
     models = _model_list(cfg, None)
     swept_model = models[0]
-    pre_cfg = _preprocess_config(cfg)
+    pre_cfg = PreprocessConfig(**cfg.get("preprocess", {}))
     setting = _model_setting(cfg, swept_model, pre_cfg.window_width)
-    ens_settings = _ensemble_settings(cfg, None, None)
+    ens_cfg = _ensemble_config(cfg, None, None)
     base_filter = _filter_config(cfg, None) or FilterConfig()
-    schema = _schema(cfg)
 
     timings: dict[str, float] = {}
-    table = _read_data(args.data, schema, timings)
+    table = _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings)
 
     rows = []
     shared_audit = None
     errors: dict[str, str] = {}
     failure_codes = set()
     for prop in proportions:
-        filter_cfg = FilterConfig(
-            variance_threshold=base_filter.variance_threshold,
-            discard_proportion=prop,
-            seed=base_filter.seed,
-        )
         t0 = time.perf_counter()
-        split, audit = run_preprocess(table, pre_cfg, filter_cfg)
+        split, audit = run_preprocess(table, pre_cfg, replace(base_filter, discard_proportion=prop))
         if shared_audit is None:
             shared_audit = audit.as_dict()
             shared_audit["filter"] = None  # per-row, not shared
@@ -489,7 +442,7 @@ def cmd_filter_sweep(args) -> int:
             "train_size": split.train.m,
         }
         try:
-            entry, _model = _train_one_model(swept_model, setting, split, ens_settings)
+            entry, _model = _train_one_model(swept_model, setting, split, ens_cfg)
         except (NumericDivergenceError, IllPosedError) as exc:
             code, errors[f"proportion={prop}"] = _fit_failure(exc)
             failure_codes.add(code)
@@ -544,13 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-dir", required=True)
     p_run.add_argument("--models", default=None,
                        help="comma-separated subset of lr,arima,lstm,gru,cnn")
-    p_run.add_argument("--ensemble", default=None, choices=ENSEMBLE_METHODS)
+    p_run.add_argument("--ensemble", default=None, choices=ens.ENSEMBLE_METHODS)
     p_run.add_argument("--stack", action="store_true", default=False)
     p_run.add_argument("--filter-proportion", type=float, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("filter-sweep",
-                             help="repeat a run across filter proportions")
+                             help="train the first configured model across filter proportions")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--data", required=True)
     p_sweep.add_argument("--proportions", required=True,
@@ -565,6 +518,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except IllPosedError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

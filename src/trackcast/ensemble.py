@@ -18,7 +18,32 @@ from .rng import derive_seed
 
 _COND_LIMIT = 1e12
 _METHODS = ("bagging", "boosting")
+ENSEMBLE_METHODS = ("none", *_METHODS)
 RESIDUAL_SCOPES = ("original", "current")
+
+
+@dataclass(frozen=True)
+class EnsembleConfig:
+    """How a run trains each network: alone (method "none"), or as
+    ``members`` bagged or boosted members, optionally stacked."""
+
+    method: str = "none"
+    members: int = 5
+    boost_threshold: float = 0.15
+    boost_residual_scope: str = "original"
+    stack: bool = False
+
+    def __post_init__(self):
+        if self.method not in ENSEMBLE_METHODS:
+            raise InvalidArgumentError(
+                f"ensemble method must be one of {', '.join(ENSEMBLE_METHODS)}")
+        if int(self.members) < 1:
+            raise InvalidArgumentError("ensemble members must be positive")
+        if not float(self.boost_threshold) > 0.0:
+            raise InvalidArgumentError("ensemble boost_threshold must be positive")
+        if self.boost_residual_scope not in RESIDUAL_SCOPES:
+            raise InvalidArgumentError(
+                f"boost_residual_scope must be one of {', '.join(RESIDUAL_SCOPES)}")
 
 
 @dataclass(frozen=True)
@@ -82,19 +107,7 @@ def bootstrap_sample(ds: WindowedDataset, n_prime: int, seed: int) -> WindowedDa
 
 
 def _train_member(cfg: NetworkConfig, seed: int, train_ds, val_ds):
-    member_cfg = NetworkConfig(
-        arch=cfg.arch,
-        hidden_size=cfg.hidden_size,
-        kernel_count=cfg.kernel_count,
-        kernel_width=cfg.kernel_width,
-        l2_lambda=cfg.l2_lambda,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        learning_rate=cfg.learning_rate,
-        seed=seed,
-    )
-    return train(member_cfg, train_ds, val_ds)
+    return train(replace(cfg, seed=seed), train_ds, val_ds)
 
 
 def _train_bagging_member(cfg, member_index, ds, val_ds):
@@ -263,9 +276,3 @@ def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray, member_pre
     w = np.asarray(model.combiner.weights, dtype=np.float64)
     return preds @ w + model.combiner.bias
 
-
-def ensemble_predict(model: EnsembleModel, window: np.ndarray) -> float:
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise InvalidArgumentError("window must be 2-d")
-    return float(ensemble_predict_batch(model, w[None, :, :])[0])

@@ -10,7 +10,8 @@ class InvalidArgumentError(TrackcastError, ValueError):
 
 
 class IllPosedError(InvalidArgumentError):
-    """A fitting problem has fewer samples than free parameters."""
+    """The data hold too few samples: fewer windows than a fit has free
+    parameters, or than a split needs."""
 
 
 class ConfigError(TrackcastError):

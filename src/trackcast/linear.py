@@ -98,17 +98,6 @@ def fit_linear(ds: WindowedDataset) -> LinearModel:
     )
 
 
-def predict_linear(model: LinearModel, window: np.ndarray) -> float:
-    """Forecast from one window's newest row."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != model.n_features:
-        raise InvalidArgumentError(
-            f"window must have {model.n_features} feature columns"
-        )
-    x = w[-1, _exog_indices(model.n_features, model.target_feature)]
-    return float(model.weights @ x + model.bias)
-
-
 def predict_linear_batch(model: LinearModel, windows: np.ndarray) -> np.ndarray:
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3 or w.shape[2] != model.n_features:
@@ -409,18 +398,6 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     )
 
 
-def _check_window_for_predict(model: ArimaxModel, w: np.ndarray) -> None:
-    if w.ndim != 2 or w.shape[1] != model.n_features:
-        raise InvalidArgumentError(
-            f"window must have {model.n_features} feature columns"
-        )
-    needed = max(model.p + model.d, model.d + 1, model.q + model.d)
-    if w.shape[0] < needed:
-        raise InvalidArgumentError(
-            f"window must supply at least {needed} past rows"
-        )
-
-
 def predict_arimax_batch(model: ArimaxModel, windows: np.ndarray) -> np.ndarray:
     """One-step forecasts for a stack of windows on the original scale."""
     w = np.asarray(windows, dtype=np.float64)
@@ -428,7 +405,11 @@ def predict_arimax_batch(model: ArimaxModel, windows: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError("windows must have shape (m, l, n)")
     if w.shape[0] == 0:
         return np.empty(0)
-    _check_window_for_predict(model, w[0])
+    if w.shape[2] != model.n_features:
+        raise InvalidArgumentError(f"window must have {model.n_features} feature columns")
+    needed = max(model.p + model.d, model.d + 1, model.q + model.d)
+    if w.shape[1] < needed:
+        raise InvalidArgumentError(f"window must supply at least {needed} past rows")
     tf = model.target_feature
     exog = _exog_indices(model.n_features, tf)
     endog = w[:, :, tf]
@@ -449,11 +430,3 @@ def predict_arimax_batch(model: ArimaxModel, windows: np.ndarray) -> np.ndarray:
         zhat = zhat + level
     return zhat
 
-
-def predict_arimax(model: ArimaxModel, window: np.ndarray) -> float:
-    """One-step forecast from a single window, original scale."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise InvalidArgumentError("window must be 2-d")
-    _check_window_for_predict(model, w)
-    return float(predict_arimax_batch(model, w[None, :, :])[0])

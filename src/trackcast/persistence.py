@@ -13,8 +13,8 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -38,136 +38,102 @@ def _scalar(a: np.ndarray) -> float:
     return float(np.asarray(a).ravel()[0])
 
 
+_NETWORK_SIZES = ("n_features", "window_len", "hidden_size", "kernel_count", "kernel_width")
+
+
 def _network_manifest(params: NetworkParams, prefix: str = ""):
-    meta = {
-        "arch": params.arch,
-        "n_features": params.n_features,
-        "window_len": params.window_len,
-        "hidden_size": params.hidden_size,
-        "kernel_count": params.kernel_count,
-        "kernel_width": params.kernel_width,
-        "tensor_order": list(params.tensors.keys()),
-    }
-    arrays = [(prefix + name, arr) for name, arr in params.tensors.items()]
-    return meta, arrays
+    meta = {"arch": params.arch, **{k: getattr(params, k) for k in _NETWORK_SIZES},
+            "tensor_order": list(params.tensors)}
+    return meta, [(prefix + name, arr) for name, arr in params.tensors.items()]
 
 
 def _network_from_manifest(meta, lookup, prefix: str = "") -> NetworkParams:
     tensors = {name: lookup[prefix + name] for name in meta["tensor_order"]}
-    return NetworkParams.from_tensors(
-        meta["arch"], int(meta["n_features"]), int(meta["window_len"]),
-        int(meta["hidden_size"]), int(meta["kernel_count"]), int(meta["kernel_width"]),
-        tensors,
+    sizes = (int(meta[k]) for k in _NETWORK_SIZES)
+    return NetworkParams.from_tensors(meta["arch"], *sizes, tensors)
+
+
+def _ensemble_manifest(model: EnsembleModel):
+    members = []
+    arrays = []
+    for i, member in enumerate(model.members):
+        m_meta, m_arrays = _network_manifest(member, prefix=f"member{i}/")
+        members.append(m_meta)
+        arrays.extend(m_arrays)
+    meta = {
+        "method": model.method,
+        "boost_threshold": model.boost_threshold,
+        "members": members,
+        "combiner": {
+            "kind": model.combiner.kind,
+            "fallback_reason": model.combiner.fallback_reason,
+        },
+    }
+    if model.combiner.kind == "stacker":
+        arrays.append(("stacker_weights", np.asarray(model.combiner.weights)))
+        arrays.append(("stacker_bias", np.asarray(model.combiner.bias)))
+    return meta, arrays
+
+
+def _ensemble_from_manifest(meta, lookup) -> EnsembleModel:
+    members = tuple(
+        _network_from_manifest(m_meta, lookup, prefix=f"member{i}/")
+        for i, m_meta in enumerate(meta["members"])
+    )
+    c_meta = meta["combiner"]
+    if c_meta["kind"] == "stacker":
+        combiner = Combiner(
+            kind="stacker",
+            weights=tuple(float(w) for w in np.atleast_1d(lookup["stacker_weights"])),
+            bias=_scalar(lookup["stacker_bias"]),
+            fallback_reason=c_meta["fallback_reason"],
+        )
+    else:
+        combiner = Combiner(kind="mean", fallback_reason=c_meta["fallback_reason"])
+    threshold = meta["boost_threshold"]
+    return EnsembleModel(
+        members=members,
+        combiner=combiner,
+        method=meta["method"],
+        boost_threshold=None if threshold is None else float(threshold),
     )
 
 
-def _manifest_for(model):
-    """(model_kind, meta, named arrays) for any savable model."""
-    if isinstance(model, LinearModel):
-        meta = {
-            "target_feature": model.target_feature,
-            "n_features": model.n_features,
-            "ridge_fallback": bool(model.ridge_fallback),
-        }
-        arrays = [("weights", model.weights), ("bias", np.asarray(model.bias))]
-        return "linear", meta, arrays
-    if isinstance(model, ArimaxModel):
-        meta = {
-            "p": model.p,
-            "d": model.d,
-            "q": model.q,
-            "target_feature": model.target_feature,
-            "n_features": model.n_features,
-            "css_initial": model.css_initial,
-            "css_final": model.css_final,
-            "css_warning": bool(model.css_warning),
-        }
-        arrays = [
-            ("c", np.asarray(model.c)),
-            ("phi", model.phi),
-            ("theta", model.theta),
-            ("beta", model.beta),
-        ]
-        return "arimax", meta, arrays
-    if isinstance(model, NetworkParams):
-        meta, arrays = _network_manifest(model)
-        return "network", meta, arrays
-    if isinstance(model, EnsembleModel):
-        members = []
-        arrays = []
-        for i, member in enumerate(model.members):
-            m_meta, m_arrays = _network_manifest(member, prefix=f"member{i}/")
-            members.append(m_meta)
-            arrays.extend(m_arrays)
-        meta = {
-            "method": model.method,
-            "boost_threshold": model.boost_threshold,
-            "members": members,
-            "combiner": {
-                "kind": model.combiner.kind,
-                "fallback_reason": model.combiner.fallback_reason,
-            },
-        }
-        if model.combiner.kind == "stacker":
-            arrays.append(("stacker_weights", np.asarray(model.combiner.weights)))
-            arrays.append(("stacker_bias", np.asarray(model.combiner.bias)))
-        return "ensemble", meta, arrays
-    raise InvalidArgumentError(f"cannot serialize object of type {type(model).__name__}")
+def _fields_manifest(cls, arrays: tuple[str, ...]):
+    """(to_manifest, from_manifest) for a model dataclass whose ``arrays``
+    fields are the payload, in that order, and every other field is meta.
+    Loading reads the class's fields, not the manifest's keys, and casts
+    each meta value and scalar array to its field's type."""
+    hints = get_type_hints(cls)
+    meta_names = [f.name for f in fields(cls) if f.name not in arrays]
+
+    def to_manifest(model):
+        meta = {name: hints[name](getattr(model, name)) for name in meta_names}
+        return meta, [(name, np.asarray(getattr(model, name))) for name in arrays]
+
+    def from_manifest(meta, lookup):
+        values = {name: hints[name](meta[name]) for name in meta_names}
+        for name in arrays:
+            values[name] = _scalar(lookup[name]) if hints[name] is float else lookup[name]
+        return cls(**values)
+
+    return to_manifest, from_manifest
 
 
-def _model_from_manifest(kind: str, meta, lookup):
-    if kind == "linear":
-        return LinearModel(
-            weights=lookup["weights"],
-            bias=_scalar(lookup["bias"]),
-            target_feature=int(meta["target_feature"]),
-            n_features=int(meta["n_features"]),
-            ridge_fallback=bool(meta["ridge_fallback"]),
-        )
-    if kind == "arimax":
-        return ArimaxModel(
-            p=int(meta["p"]),
-            d=int(meta["d"]),
-            q=int(meta["q"]),
-            c=_scalar(lookup["c"]),
-            phi=lookup["phi"],
-            theta=lookup["theta"],
-            beta=lookup["beta"],
-            target_feature=int(meta["target_feature"]),
-            n_features=int(meta["n_features"]),
-            css_initial=float(meta["css_initial"]),
-            css_final=float(meta["css_final"]),
-            css_warning=bool(meta["css_warning"]),
-        )
-    if kind == "network":
-        return _network_from_manifest(meta, lookup)
-    if kind == "ensemble":
-        members = tuple(
-            _network_from_manifest(m_meta, lookup, prefix=f"member{i}/")
-            for i, m_meta in enumerate(meta["members"])
-        )
-        c_meta = meta["combiner"]
-        if c_meta["kind"] == "stacker":
-            combiner = Combiner(
-                kind="stacker",
-                weights=tuple(float(w) for w in np.atleast_1d(lookup["stacker_weights"])),
-                bias=_scalar(lookup["stacker_bias"]),
-                fallback_reason=c_meta["fallback_reason"],
-            )
-        else:
-            combiner = Combiner(kind="mean", fallback_reason=c_meta["fallback_reason"])
-        threshold = meta["boost_threshold"]
-        return EnsembleModel(
-            members=members,
-            combiner=combiner,
-            method=meta["method"],
-            boost_threshold=None if threshold is None else float(threshold),
-        )
-    raise UnsupportedVersionError(f"unknown model kind {kind!r}")
+# artifact kind -> (model class, to_manifest, from_manifest)
+_KINDS = {
+    "linear": (LinearModel, *_fields_manifest(LinearModel, ("weights", "bias"))),
+    "arimax": (ArimaxModel, *_fields_manifest(ArimaxModel, ("c", "phi", "theta", "beta"))),
+    "network": (NetworkParams, _network_manifest, _network_from_manifest),
+    "ensemble": (EnsembleModel, _ensemble_manifest, _ensemble_from_manifest),
+}
 
 
 def save_model(model, path) -> None:
-    kind, meta, arrays = _manifest_for(model)
+    kind = next((k for k, (cls, *_) in _KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise InvalidArgumentError(f"cannot serialize object of type {type(model).__name__}")
+    meta, arrays = _KINDS[kind][1](model)
     payload_parts = []
     manifest_arrays = []
     for name, arr in arrays:
@@ -255,7 +221,10 @@ def _model_from_blob(blob: bytes):
         offset += nbytes
     if offset != len(payload):
         raise IntegrityError("payload has trailing bytes")
-    return _model_from_manifest(header["model_kind"], header["meta"], lookup)
+    kind, meta = header["model_kind"], header["meta"]
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise UnsupportedVersionError(f"unknown model kind {kind!r}")
+    return _KINDS[kind][2](meta, lookup)
 
 
 def _sig6(value: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CorrelationReport, RawTable, SplitSet, WindowedDataset, pearson
-from .errors import InvalidArgumentError
+from .errors import IllPosedError, InvalidArgumentError
 from .ingest import METERS_STEP
 
 # guard against representation error in floor(fraction * count); decimal
@@ -33,7 +33,6 @@ class PreprocessConfig:
 
     zscore_threshold: float = 4.0
     correlation_threshold: float | None = None  # None: drop |r| below the mean |r|
-    scale_range: tuple[float, float] = (0.0, 1.0)
     window_width: int = 8
     split_fractions: tuple[float, float, float] = (0.85, 0.10, 0.05)
     shuffle_seed: int = 0
@@ -43,8 +42,6 @@ class PreprocessConfig:
             raise InvalidArgumentError("zscore_threshold must be positive")
         if self.correlation_threshold is not None and float(self.correlation_threshold) < 0.0:
             raise InvalidArgumentError("correlation_threshold must be non-negative")
-        if tuple(float(v) for v in self.scale_range) != (0.0, 1.0):
-            raise InvalidArgumentError("scale_range is fixed at (0.0, 1.0)")
         if int(self.window_width) < 2:
             raise InvalidArgumentError("window_width must be at least 2")
         fr = tuple(float(f) for f in self.split_fractions)
@@ -242,13 +239,14 @@ def shuffle_split(ds: WindowedDataset, fractions, seed: int) -> SplitSet:
     """Shuffle deterministically, then slice train/test/val.
 
     Train and test sizes round down; validation takes the remainder.
+    Fewer than 3 windows is a fault of the data: IllPosedError.
     """
     fr = tuple(float(f) for f in fractions)
     if len(fr) != 3 or any(f < 0.0 or f > 1.0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise InvalidArgumentError("fractions must be three shares summing to 1")
     m = ds.m
     if m < 3:
-        raise InvalidArgumentError("need at least 3 windows to split")
+        raise IllPosedError(f"need at least 3 windows to split, got {m}")
     perm = np.random.default_rng(int(seed)).permutation(m)
     n_train = _exact_floor(fr[0] * m)
     n_test = _exact_floor(fr[1] * m)

@@ -16,7 +16,7 @@ from trackcast.cli import (
 )
 from trackcast.core import evaluate_metrics
 from trackcast.errors import IllPosedError, NumericDivergenceError
-from trackcast.ensemble import EnsembleModel, ensemble_predict_batch
+from trackcast.ensemble import EnsembleConfig, EnsembleModel, ensemble_predict_batch
 from trackcast.ingest import SynthConfig, generate_synthetic, read_csv, write_csv
 from trackcast.neural import predict_batch
 from trackcast.persistence import _sig6, load_model
@@ -307,8 +307,9 @@ class TestRun:
 
     @pytest.mark.parametrize("stack", [False, True])
     def test_ensemble_metrics_equal_ensemble_predict_batch_bitwise(self, small_split, stack):
-        net_cfg = cli._network_config({"model": {"hidden_size": 4}, "train": {"max_epochs": 1}}, "lstm")
-        settings = {"method": "bagging", "members": 2, "stack": stack}
+        cfg = {"model": {"hidden_size": 4}, "train": {"max_epochs": 1}}
+        net_cfg = cli._model_setting(cfg, "lstm", small_split.train.l)
+        settings = EnsembleConfig(method="bagging", members=2, stack=stack)
         entry, model = cli._train_one_model("lstm", net_cfg, small_split, settings)
         assert entry["ensemble"]["combiner"]["kind"] == ("stacker" if stack else "mean")
         for name in ("train", "val", "test"):
@@ -530,9 +531,46 @@ class TestFilterSweep:
             "proportion=0.5": "ill-posed fit: 6 windows cannot determine 8 coefficients",
         }
 
+    def test_sweeps_only_the_first_model(self, cli_workspace, tmp_path):
+        cfg = json.loads(json.dumps(cli_workspace["config_dict"]))
+        cfg["model"]["models"] = ["lr", "arima"]
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", write_config(tmp_path, cfg),
+                     "--data", cli_workspace["data"],
+                     "--proportions", "0,0.5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert [r["model"] for r in json.loads(out.read_text())["sweep"]] == ["lr", "lr"]
+
     def test_sweep_missing_data_file(self, cli_workspace, tmp_path):
         code = main(["filter-sweep", "--config", cli_workspace["config"],
                      "--data", str(tmp_path / "none.csv"),
                      "--proportions", "0.2",
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_IO
+
+
+class TestTooFewWindows:
+    """Data that cut into fewer than 3 windows cannot be split: a data
+    error (exit 3), not a config error."""
+
+    def _config(self, ws, tmp_path):
+        cfg = json.loads(json.dumps(ws["config_dict"]))
+        cfg["preprocess"]["window_width"] = 100000
+        return write_config(tmp_path, cfg)
+
+    def test_run_exits_3_without_out_dir(self, cli_workspace, tmp_path, capsys):
+        code, out_dir = run_cli(cli_workspace, tmp_path,
+                                config=self._config(cli_workspace, tmp_path))
+        assert code == EXIT_IO
+        assert not out_dir.exists()
+        assert capsys.readouterr().err == (
+            "data error: need at least 3 windows to split, got 0\n")
+
+    def test_sweep_exits_3_without_report(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", self._config(cli_workspace, tmp_path),
+                     "--data", cli_workspace["data"], "--proportions", "0,0.5",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("data error: need at least 3 windows")

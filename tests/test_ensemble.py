@@ -9,7 +9,6 @@ from trackcast.ensemble import (
     EnsembleModel,
     _stacker_from_predictions,
     bootstrap_sample,
-    ensemble_predict,
     ensemble_predict_batch,
     fit_stacker,
     member_predictions,
@@ -361,13 +360,13 @@ class TestPredict:
                               method="bagging")
         ds = make_ds(m=4)
         batch = ensemble_predict_batch(model, ds.windows)
-        assert ensemble_predict(model, ds.windows[2]) == pytest.approx(batch[2])
+        assert ensemble_predict_batch(model, ds.windows[2:3])[0] == pytest.approx(batch[2])
 
     def test_window_rank_checked(self):
         model = EnsembleModel(members=(some_params(),), combiner=Combiner(kind="mean"),
                               method="bagging")
         with pytest.raises(InvalidArgumentError):
-            ensemble_predict(model, np.zeros(5))
+            ensemble_predict_batch(model, np.zeros((1, 5)))
 
     def test_member_prediction_columns(self):
         members = (some_params(0), some_params(1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackcast.core import RawTable, WindowedDataset
-from trackcast.errors import InvalidArgumentError
+from trackcast.errors import IllPosedError, InvalidArgumentError
 from trackcast.preprocess import (
     FilterConfig,
     PreprocessConfig,
@@ -275,6 +275,11 @@ class TestShuffleSplit:
         with pytest.raises(InvalidArgumentError):
             shuffle_split(random_ds(m=2, l=3), (0.85, 0.10, 0.05), 0)
 
+    def test_too_few_windows_is_ill_posed(self):
+        # a fault of the data, which the CLI reports as such (exit 3)
+        with pytest.raises(IllPosedError, match="need at least 3 windows to split, got 2"):
+            shuffle_split(random_ds(m=2, l=3), (0.85, 0.10, 0.05), 0)
+
 
 class TestProportionalFilter:
     def test_exact_count_law(self):
@@ -391,10 +396,6 @@ class TestRunPreprocess:
 
 
 class TestConfigValidation:
-    def test_scale_range_pinned(self):
-        with pytest.raises(InvalidArgumentError):
-            PreprocessConfig(scale_range=(0.0, 2.0))
-
     def test_fraction_sum(self):
         with pytest.raises(InvalidArgumentError):
             PreprocessConfig(split_fractions=(0.5, 0.3, 0.3))

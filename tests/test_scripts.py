@@ -31,3 +31,15 @@ def test_reproduce_tables_runs_small():
                       "--members", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "== " in proc.stdout
+
+
+def test_reproduce_tables_trains_through_the_cli():
+    """The script imports no fit or predict function: every model trains
+    through the CLI's dispatch."""
+    import ast
+    with open(os.path.join(ROOT, "scripts", "reproduce_tables.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert "cli" in names
+    assert not [n for n in names if n.startswith(("fit_", "predict_", "train"))]

@@ -4,6 +4,8 @@
 Generates measurements, runs the preprocessing pipeline, trains every
 forecaster plus the ensemble variants, and prints three comparison
 tables: single models, ensembles, and the low-variance filter sweep.
+Like every ``trackcast`` command it holds numpy's OpenBLAS to one
+thread, so the tables do not depend on the core count.
 The settings are one config checked by the CLI's schema, and every
 model trains through the CLI's model dispatch, so each row holds the
 metrics ``trackcast run`` would report for that config.
@@ -18,6 +20,7 @@ from dataclasses import replace
 from trackcast import cli
 from trackcast.ensemble import EnsembleConfig
 from trackcast.ingest import SynthConfig, generate_synthetic
+from trackcast.neural import _one_blas_thread
 from trackcast.preprocess import PreprocessConfig, run_preprocess
 
 
@@ -106,4 +109,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with _one_blas_thread():
+        main()

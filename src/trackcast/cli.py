@@ -3,12 +3,14 @@
 Three subcommands wire the pipeline end to end from one JSON config:
 ``synth`` writes a generated CSV, ``run`` preprocesses + trains +
 reports, ``filter-sweep`` trains the first model in ``model.models``
-(ensembled as a run would) once per filter proportion.  The config's
-keys and value types are read from the dataclasses each section sets
-(``_SCHEMA``); a wrong key or type is a configuration problem.
+(ensembled as a run would) once per filter proportion.  Every command
+runs with numpy's OpenBLAS held to one thread, so its outputs do not
+depend on the core count.  The config's keys and value types are read
+from the dataclasses each section sets (``_SCHEMA``); a wrong key or
+type is a configuration problem.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O or data-file
-problem (including data with too few windows to split), 4 numeric
+problem (including data with too few rows or windows), 4 numeric
 divergence during training.  When ``run`` fails to
 fit a model, because it diverged (4) or the data holds too few windows
 for its coefficients (3), the report is still written with whatever
@@ -119,22 +121,30 @@ def _check_config(cfg) -> dict:
 
 
 def load_config(path) -> dict:
-    """Parse the JSON config file and check it against the schema."""
+    """Parse the JSON config file and check it against the schema.
+    ``NaN`` and ``Infinity``, which Python's json accepts, are not JSON."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+
+    def reject(name):
+        raise ConfigError(f"config file {path} holds {name}, which is not valid JSON")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     return _check_config(cfg)
 
 
 def _filter_config(cfg: dict, override_proportion) -> FilterConfig | None:
+    """None without a ``filter`` section (an empty one filters) or override."""
+    if "filter" not in cfg and override_proportion is None:
+        return None
     body = dict(cfg.get("filter", {}))
     if override_proportion is not None:
         body["discard_proportion"] = override_proportion
-    return FilterConfig(**body) if body else None
+    return FilterConfig(**body)
 
 
 def _model_list(cfg: dict, override) -> list[str]:
@@ -517,7 +527,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with net._one_blas_thread():
+            return args.func(args)
     except IllPosedError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO

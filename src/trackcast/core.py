@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import IllPosedError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def pearson(x, y) -> float:
     if xa.ndim != 1 or ya.ndim != 1 or xa.shape[0] != ya.shape[0]:
         raise InvalidArgumentError("pearson inputs must be 1-d of equal length")
     if xa.shape[0] < 2:
-        raise InvalidArgumentError("pearson needs at least two points")
+        raise IllPosedError("pearson needs at least two points")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise InvalidArgumentError("pearson inputs must be finite")
     dx = xa - xa.mean()

@@ -11,7 +11,8 @@ class InvalidArgumentError(TrackcastError, ValueError):
 
 class IllPosedError(InvalidArgumentError):
     """The data hold too few samples: fewer windows than a fit has free
-    parameters, or than a split needs."""
+    parameters or a split needs, or fewer rows or points than a
+    statistic needs."""
 
 
 class ConfigError(TrackcastError):

@@ -9,6 +9,7 @@ central finite differences.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -427,26 +428,39 @@ def _openblas_threads():
     return None
 
 
-def _parallel_forward(fwd, params: NetworkParams, chunks, blas) -> list:
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread until the block ends, then
+    restore the count it had, also on error; nothing where no OpenBLAS
+    is found.  trackcast's products are too small to gain from BLAS
+    threads, and a sum split across threads changes its last bits."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _parallel_forward(fwd, params: NetworkParams, chunks) -> list:
     """``fwd`` over every chunk on the pool, one thread per core, with
     numpy's OpenBLAS held to one thread until the last chunk is done:
     two BLAS threads under two Python threads ran slower than serial."""
     from concurrent.futures import ThreadPoolExecutor, wait
 
     global _predict_pool
-    get_threads, set_threads = blas
-    with _predict_lock:
+    with _predict_lock, _one_blas_thread():
         if _predict_pool is None:
             _predict_pool = ThreadPoolExecutor(_usable_cores(),
                                                thread_name_prefix="trackcast-predict")
-        before = get_threads()
-        set_threads(1)
-        try:
-            futures = [_predict_pool.submit(fwd, params, c, False) for c in chunks]
-            wait(futures)
-            return [f.result()[0] for f in futures]
-        finally:
-            set_threads(before)
+        futures = [_predict_pool.submit(fwd, params, c, False) for c in chunks]
+        wait(futures)
+        return [f.result()[0] for f in futures]
 
 
 def predict_batch(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
@@ -464,10 +478,9 @@ def predict_batch(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
         return np.empty(0)
     fwd = _FORWARD[params.arch]
     chunks = [x[a : a + _PREDICT_CHUNK] for a in range(0, x.shape[0], _PREDICT_CHUNK)]
-    blas = _openblas_threads() if len(chunks) > 1 and _usable_cores() > 1 else None
-    if blas is None:
+    if len(chunks) < 2 or _usable_cores() < 2 or _openblas_threads() is None:
         return np.concatenate([fwd(params, c, False)[0] for c in chunks])
-    return np.concatenate(_parallel_forward(fwd, params, chunks, blas))
+    return np.concatenate(_parallel_forward(fwd, params, chunks))
 
 
 def _penalty(params: NetworkParams, l2_lambda: float) -> float:

@@ -115,7 +115,7 @@ def remove_outliers_zscore(table: RawTable, threshold: float) -> tuple[RawTable,
     if float(threshold) <= 0.0:
         raise InvalidArgumentError("z-score threshold must be positive")
     if table.n_rows < 2:
-        raise InvalidArgumentError("outlier removal needs at least two rows")
+        raise IllPosedError("outlier removal needs at least two rows")
     target = table.column(table.target_column)
     mu = float(target.mean())
     sigma = float(target.std(ddof=1))
@@ -158,7 +158,7 @@ def select_features(
 def fit_scaler(table: RawTable) -> ScalingParams:
     """Observe per-column min/max on every modeling column (target included)."""
     if table.n_rows < 1:
-        raise InvalidArgumentError("cannot fit a scaler on an empty table")
+        raise IllPosedError("cannot fit a scaler on an empty table")
     cols = table.non_id_indices()
     mins = np.array([table.column(c).min() for c in cols])
     maxs = np.array([table.column(c).max() for c in cols])

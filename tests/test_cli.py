@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from trackcast import cli
+from trackcast import linear as lin
+from trackcast import neural as net
 from trackcast.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -15,12 +17,12 @@ from trackcast.cli import (
     main,
 )
 from trackcast.core import evaluate_metrics
-from trackcast.errors import IllPosedError, NumericDivergenceError
+from trackcast.errors import IllPosedError, InvalidArgumentError, NumericDivergenceError
 from trackcast.ensemble import EnsembleConfig, EnsembleModel, ensemble_predict_batch
 from trackcast.ingest import SynthConfig, generate_synthetic, read_csv, write_csv
 from trackcast.neural import predict_batch
 from trackcast.persistence import _sig6, load_model
-from trackcast.preprocess import PreprocessConfig, run_preprocess
+from trackcast.preprocess import FilterConfig, PreprocessConfig, run_preprocess
 
 
 def write_config(directory, body):
@@ -435,6 +437,24 @@ class TestRun:
         _, out_dir = run_cli(cli_workspace, tmp_path)
         assert read_report(out_dir)["audit"]["filter"] is None
 
+    @pytest.mark.parametrize("override", [None, 0.3])
+    def test_empty_filter_section_filters_with_the_defaults(self, cli_workspace, tmp_path,
+                                                            override):
+        """An empty ``filter`` section is not an omitted one: it filters
+        with FilterConfig's defaults, and --filter-proportion still wins."""
+        cfg = dict(cli_workspace["config_dict"], filter={})
+        extra = [] if override is None else ["--filter-proportion", str(override)]
+        code, out_dir = run_cli(cli_workspace, tmp_path, *extra,
+                                config=write_config(tmp_path, cfg))
+        assert code == EXIT_OK
+        audit_filter = read_report(out_dir)["audit"]["filter"]
+        defaults = FilterConfig()
+        assert audit_filter is not None
+        assert audit_filter["variance_threshold"] == defaults.variance_threshold
+        assert audit_filter["discard_proportion"] == (
+            defaults.discard_proportion if override is None else override)
+        assert audit_filter["discarded"] > 0
+
     def test_csv_read_time_is_a_timing(self, cli_workspace, tmp_path):
         _, out_dir = run_cli(cli_workspace, tmp_path)
         assert read_report(out_dir)["timings"]["read_csv_seconds"] >= 0.0
@@ -574,3 +594,108 @@ class TestTooFewWindows:
         assert code == EXIT_IO
         assert not out.exists()
         assert capsys.readouterr().err.startswith("data error: need at least 3 windows")
+
+
+class TestTooFewRows:
+    """A CSV with no data row, or one, cannot be preprocessed: a data
+    error (exit 3), not a config error, and nothing is written."""
+
+    @pytest.fixture(params=[0, 1], ids=["0-rows", "1-row"])
+    def short_csv(self, request, cli_workspace, tmp_path):
+        with open(cli_workspace["data"], encoding="utf-8") as fh:
+            lines = [next(fh) for _ in range(1 + request.param)]
+        path = tmp_path / "short.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        return str(path)
+
+    def test_run_exits_3_without_out_dir(self, cli_workspace, short_csv, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", cli_workspace["config"], "--data", short_csv,
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_IO
+        assert not out_dir.exists()
+        assert capsys.readouterr().err == "data error: outlier removal needs at least two rows\n"
+
+    def test_sweep_exits_3_without_report(self, cli_workspace, short_csv, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", cli_workspace["config"], "--data", short_csv,
+                     "--proportions", "0,0.5", "--out", str(out)])
+        assert code == EXIT_IO
+        assert not out.exists()
+        assert capsys.readouterr().err == "data error: outlier removal needs at least two rows\n"
+
+
+def blas_or_skip():
+    blas = net._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS symbol found in numpy's libraries")
+    return blas
+
+
+class TestOneBlasThread:
+    """Every command runs with numpy's OpenBLAS held to one thread and
+    restores the count it found, however the command ends."""
+
+    @pytest.mark.parametrize("raised, expected", [
+        (None, EXIT_OK),
+        (InvalidArgumentError, EXIT_CONFIG),
+        (IllPosedError, EXIT_IO),
+        (NumericDivergenceError, EXIT_DIVERGENCE),
+        (RuntimeError, None),  # escapes main
+    ])
+    def test_one_thread_inside_and_restored_after(self, cli_workspace, tmp_path, monkeypatch,
+                                                  raised, expected):
+        get_threads, set_threads = blas_or_skip()
+        real = lin.fit_linear
+        seen = []
+
+        def fit_linear(train):
+            seen.append(get_threads())
+            if raised is not None:
+                raise raised("fit failed")
+            return real(train)
+
+        monkeypatch.setattr(lin, "fit_linear", fit_linear)
+        before = get_threads()
+        set_threads(2)  # a restore to 1 would not show in a one-thread session
+        try:
+            if expected is None:
+                with pytest.raises(raised, match="fit failed"):
+                    run_cli(cli_workspace, tmp_path)
+                code = None
+            else:
+                code, _ = run_cli(cli_workspace, tmp_path)
+            after = get_threads()
+        finally:
+            set_threads(before)
+        assert (code, seen, after) == (expected, [1], 2)
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        """lr and ARIMAX(2,0,1) on a 12,000-row table give the same bytes
+        at one and two OpenBLAS threads.  Two threads split a dot
+        product's sum, which moved the last bits of the correlations and
+        of the ARIMAX fit before every command held BLAS to one thread;
+        3,000 and 6,000 rows did not show it."""
+        cfg = write_config(tmp_path, {"synth": {"n_rows": 12000, "seed": 20},
+                                      "model": {"arima_order": [2, 0, 1]}})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        data = str(tmp_path / "data.csv")
+
+        def trackcast(*argv, threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            subprocess.run([sys.executable, "-m", "trackcast.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=300)
+
+        trackcast("synth", "--config", cfg, "--out", data, threads=1)
+        outputs = []
+        for threads in (1, 2):
+            out_dir = tmp_path / f"out{threads}"
+            trackcast("run", "--config", cfg, "--data", data, "--out-dir", str(out_dir),
+                      "--models", "lr,arima", threads=threads)
+            report = read_report(out_dir)
+            report.pop("timings")
+            outputs.append((report, (out_dir / "lr.tckm").read_bytes(),
+                            (out_dir / "arima.tckm").read_bytes()))
+        assert sorted(os.listdir(out_dir)) == ["arima.tckm", "lr.tckm", "report.json"]
+        assert outputs[0] == outputs[1]

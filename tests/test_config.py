@@ -176,6 +176,29 @@ class TestNamedCases:
                 == run("floats", correlation_threshold=None, zscore_threshold=4.0))
 
 
+class TestNonFiniteConstants:
+    """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON.  Python's
+    json reads them as floats, which a float field's type check passed:
+    a NaN z-score threshold removed no outlier."""
+
+    @pytest.mark.parametrize("name", ["run", "filter-sweep", "synth"])
+    @pytest.mark.parametrize("section, key", [("preprocess", "zscore_threshold"),
+                                              ("train", "learning_rate")])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_exits_2_with_one_line(self, tmp_path, name, section, key, constant):
+        cfg = example_config()
+        cfg["synth"]["n_rows"] = 50
+        cfg[section][key] = "PLACEHOLDER"
+        cfg_path = str(tmp_path / "config.json")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(cfg).replace('"PLACEHOLDER"', constant))
+        argv, out = command(name, cfg_path, str(tmp_path))
+        code, err = run_main(argv)
+        assert code == EXIT_CONFIG
+        assert not os.path.exists(out)
+        assert err == f"config error: config file {cfg_path} holds {constant}, which is not valid JSON\n"
+
+
 def readme_table() -> dict:
     """Section -> key names, from README's configuration table."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from trackcast.core import (
     evaluate_metrics,
     pearson,
 )
-from trackcast.errors import InvalidArgumentError
+from trackcast.errors import IllPosedError, InvalidArgumentError
 
 
 def _table(rows, names=("mileage", "meters", "a", "b"), target="a"):
@@ -210,6 +210,11 @@ class TestPearson:
     def test_needs_two_points(self):
         with pytest.raises(InvalidArgumentError):
             pearson([1.0], [1.0])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_points_is_ill_posed(self, n):
+        with pytest.raises(IllPosedError, match="at least two points"):
+            pearson([1.0] * n, [2.0] * n)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(2, 40))
     @settings(max_examples=200, deadline=None)

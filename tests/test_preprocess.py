@@ -107,6 +107,19 @@ class TestOutlierRemoval:
         with pytest.raises(InvalidArgumentError):
             remove_outliers_zscore(t, 0.0)
 
+    def test_one_row_is_ill_posed(self):
+        t = table_from({**ids(1), "h": [1.0]})
+        with pytest.raises(IllPosedError, match="at least two rows"):
+            remove_outliers_zscore(t, 4.0)
+
+    def test_bad_threshold_is_not_ill_posed(self):
+        """A bad parameter stays a plain argument error, even on a table
+        too short to filter."""
+        t = table_from({**ids(1), "h": [1.0]})
+        with pytest.raises(InvalidArgumentError) as info:
+            remove_outliers_zscore(t, 0.0)
+        assert not isinstance(info.value, IllPosedError)
+
     def test_single_pass_statistics(self):
         # both spikes measured against the same (mu, sigma); removing
         # one must not re-trigger on the remainder
@@ -182,6 +195,11 @@ class TestScaler:
         out = apply_scaler(t_new, params)
         assert out.column(2).min() < 0.0
         assert out.column(2).max() > 1.0
+
+    def test_empty_table_is_ill_posed(self):
+        t = table_from({**ids(0), "h": []})
+        with pytest.raises(IllPosedError, match="empty table"):
+            fit_scaler(t)
 
     def test_scaler_formula(self):
         t = table_from({**ids(3), "h": [2.0, 4.0, 10.0]})

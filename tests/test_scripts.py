@@ -9,9 +9,9 @@ import trackcast
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def run_script(name, *args, env=None):
     src = os.path.dirname(os.path.dirname(trackcast.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
@@ -31,6 +31,21 @@ def test_reproduce_tables_runs_small():
                       "--members", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "== " in proc.stdout
+
+
+def test_reproduce_tables_does_not_depend_on_blas_threads():
+    """The script holds numpy's OpenBLAS to one thread, as every
+    trackcast command does: its tables, all but the ``total`` line, are
+    the same at one and two OpenBLAS threads."""
+    tables = []
+    for threads in ("1", "2"):
+        proc = run_script("reproduce_tables.py", "--rows", "1500", "--epochs", "1",
+                          "--members", "2", env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        tables.append([line for line in proc.stdout.splitlines()
+                       if not line.startswith("total ")])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) > 20
 
 
 def test_reproduce_tables_trains_through_the_cli():

@@ -101,7 +101,7 @@ def main():
     for prop in (0.0, 0.2, 0.5, 0.8):
         fsplit, faudit = run_preprocess(table, pre_cfg, cli._filter_config(cfg, prop))
         metrics = train("lr", fsplit)["metrics"]
-        print(f"{prop:<10.1f}  {faudit.filter_discarded:<9d}  "
+        print(f"{prop:<10.1f}  {faudit.filter['discarded']:<9d}  "
               f"{fsplit.train.m:<10d}  {metrics['train']['mse']:<9.6f}  "
               f"{metrics['test']['mse']:.6f}")
 

@@ -11,10 +11,11 @@ type is a configuration problem.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O or data-file
 problem (including data with too few rows or windows), 4 numeric
-divergence during training.  When ``run`` fails to
-fit a model, because it diverged (4) or the data holds too few windows
-for its coefficients (3), the report is still written with whatever
-finished; 3 wins over 4.
+divergence during training.  When a fit fails, because it diverged (4)
+or its train or validation part holds too few windows (3), ``run``
+records a ``failed`` entry for that model and ``filter-sweep`` a row
+without metrics for that proportion; the report is still written with
+whatever finished, and 3 wins over 4.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -42,13 +43,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .ingest import CsvSchema, SynthConfig, generate_synthetic, read_csv, write_csv
-from .persistence import (
-    RunReport,
-    boost_trace_as_dict,
-    save_model,
-    trace_as_dict,
-    write_report,
-)
+from .persistence import RunReport, save_model, write_report
 from .preprocess import FilterConfig, PreprocessConfig, run_preprocess
 
 EXIT_OK = 0
@@ -196,14 +191,9 @@ def _parts(split: SplitSet):
     return (("train", split.train), ("val", split.val), ("test", split.test))
 
 
-def _predict_parts(predict_fn, split: SplitSet) -> dict:
-    """``predict_fn(windows)`` for every non-empty part of the split."""
-    return {name: predict_fn(part.windows) for name, part in _parts(split) if part.m}
-
-
 def _metrics_of(preds: dict, split: SplitSet) -> dict:
-    """MSE and MAE of ``preds`` (as ``_predict_parts`` returns them) per
-    part; None for an empty part."""
+    """MSE and MAE per part of the split, from ``preds`` (part name ->
+    predictions); None for a part with no predictions."""
     out = {}
     for name, part in _parts(split):
         if name not in preds:
@@ -214,27 +204,19 @@ def _metrics_of(preds: dict, split: SplitSet) -> dict:
     return out
 
 
-def _split_metrics(predict_fn, split: SplitSet) -> dict:
-    return _metrics_of(_predict_parts(predict_fn, split), split)
-
-
 def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleConfig):
     """Train one configured model from its ``_model_setting``;
     returns (entry dict, model object)."""
     if name == "lr":
         model = lin.fit_linear(split.train)
-        entry = {
-            "kind": "linear",
-            "metrics": _split_metrics(lambda w: lin.predict_linear_batch(model, w), split),
-            "details": {"ridge_fallback": model.ridge_fallback},
-        }
-        return entry, model
-    if name == "arima":
+        predict = lambda w: lin.predict_linear_batch(model, w)
+        entry = {"kind": "linear", "details": {"ridge_fallback": model.ridge_fallback}}
+    elif name == "arima":
         p, d, q = setting
         model = lin.fit_arimax(split.train, p, d, q)
+        predict = lambda w: lin.predict_arimax_batch(model, w)
         entry = {
             "kind": "arimax",
-            "metrics": _split_metrics(lambda w: lin.predict_arimax_batch(model, w), split),
             "details": {
                 "order": [p, d, q],
                 "css_initial": model.css_initial,
@@ -242,16 +224,18 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleC
                 "css_warning": model.css_warning,
             },
         }
-        return entry, model
-    net_cfg = setting
-    if ens_cfg.method == "none":
-        params, trace = net.train(net_cfg, split.train, split.val)
-        entry = {
-            "kind": "network",
-            "metrics": _split_metrics(lambda w: net.predict_batch(params, w), split),
-            "trace": trace_as_dict(trace),
-        }
-        return entry, params
+    elif ens_cfg.method == "none":
+        model, trace = net.train(setting, split.train, split.val)
+        predict = lambda w: net.predict_batch(model, w)
+        entry = {"kind": "network", "trace": asdict(trace)}
+    else:
+        return _train_ensemble(setting, split, ens_cfg)
+    preds = {part: predict(ds.windows) for part, ds in _parts(split) if ds.m}
+    return dict(entry, metrics=_metrics_of(preds, split)), model
+
+
+def _train_ensemble(net_cfg, split: SplitSet, ens_cfg: ens.EnsembleConfig):
+    """``_train_one_model`` for a bagged or boosted network."""
     if ens_cfg.method == "bagging":
         model = ens.train_bagging(net_cfg, ens_cfg.members, split.train, split.val)
     else:
@@ -265,56 +249,59 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleC
         )
     # one prediction pass per member and part feeds the stacker, the
     # member metrics and the ensemble metrics
-    cols = _predict_parts(lambda w: ens.member_predictions(model.members, w), split)
+    cols = {part: ens.member_predictions(model.members, ds.windows)
+            for part, ds in _parts(split) if ds.m}
     if ens_cfg.stack:
-        model = ens.with_stacker(model, split.val, cols["val"])
-    member_metrics = [
-        _metrics_of({part: c[:, j] for part, c in cols.items()}, split)
-        for j in range(len(model.members))
-    ]
-    entry = {
-        "kind": "ensemble",
-        "metrics": _metrics_of(
-            {
-                name: ens.ensemble_predict_batch(model, part.windows, cols[name])
-                for name, part in _parts(split)
-                if name in cols
-            },
-            split,
-        ),
-        "ensemble": {
-            "method": model.method,
-            "member_count": len(model.members),
-            "boost_threshold": model.boost_threshold,
-            "combiner": {
-                "kind": model.combiner.kind,
-                "weights": list(model.combiner.weights),
-                "bias": model.combiner.bias,
-                "fallback_reason": model.combiner.fallback_reason,
-            },
-            "member_metrics": member_metrics,
-            "member_traces": [trace_as_dict(t) for t in model.member_traces],
-            "boost_trace": None
-            if model.boost_trace is None
-            else boost_trace_as_dict(model.boost_trace),
-            "retried_members": list(model.retried_members),
-        },
+        model = replace(model, combiner=ens.fit_stacker(model.members, split.val, cols["val"]))
+    preds = {part: ens.ensemble_predict_batch(model, ds.windows, cols[part])
+             for part, ds in _parts(split) if part in cols}
+    summary = {
+        "method": model.method,
+        "member_count": len(model.members),
+        "boost_threshold": model.boost_threshold,
+        "combiner": asdict(model.combiner),
+        "member_metrics": [_metrics_of({part: c[:, j] for part, c in cols.items()}, split)
+                           for j in range(len(model.members))],
+        "member_traces": [asdict(t) for t in model.member_traces],
+        "boost_trace": None if model.boost_trace is None else asdict(model.boost_trace),
+        "retried_members": list(model.retried_members),
     }
-    return entry, model
+    return {"kind": "ensemble", "metrics": _metrics_of(preds, split), "ensemble": summary}, model
 
 
-def _print_summary(models: dict) -> None:
-    rows = [("model", "split", "mse", "mae")]
-    for name in sorted(models):
-        metrics = models[name].get("metrics") or {}
-        for part in ("train", "val", "test"):
-            pair = metrics.get(part)
-            if pair is None:
-                rows.append((name, part, "-", "-"))
-            else:
-                rows.append((name, part, f"{pair['mse']:.6g}", f"{pair['mae']:.6g}"))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for r in rows:
+def _train_or_fail(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleConfig):
+    """``_train_one_model``'s (entry, model) and no failure; or, for a fit
+    that diverged (exit 4) or has too few samples (exit 3, a fault of the
+    data, not of the config), a ``failed`` entry, no model, and (exit
+    code, ``errors`` line)."""
+    try:
+        return (*_train_one_model(name, setting, split, ens_cfg), None)
+    except (NumericDivergenceError, IllPosedError) as exc:
+        trace = getattr(exc, "trace", None)
+        entry = {"kind": "failed", "metrics": None,
+                 "trace": None if trace is None else asdict(trace)}
+        if isinstance(exc, NumericDivergenceError):
+            return entry, None, (EXIT_DIVERGENCE, f"numeric divergence: {exc}")
+        return entry, None, (EXIT_IO, f"ill-posed fit: {exc}")
+
+
+def _part_metrics(entry: dict):
+    """(part, mse, mae) for each part of the split; None where the entry
+    has no metrics."""
+    metrics = entry["metrics"] or {}
+    for part in ("train", "val", "test"):
+        pair = metrics.get(part) or {}
+        yield part, pair.get("mse"), pair.get("mae")
+
+
+def _print_table(header, rows) -> None:
+    """Left-aligned columns; a float to 6 significant digits, None as -."""
+    cells = [header] + [
+        ["-" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v) for v in row]
+        for row in rows
+    ]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+    for r in cells:
         print("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
 
 
@@ -343,15 +330,6 @@ def _read_data(path, schema: CsvSchema, timings: dict):
     return table
 
 
-def _fit_failure(exc) -> tuple[int, str]:
-    """Exit code and ``errors`` line for a model that failed to fit.  Too
-    few windows for the model's coefficients is a fault of the data, not
-    of the config."""
-    if isinstance(exc, NumericDivergenceError):
-        return EXIT_DIVERGENCE, f"numeric divergence: {exc}"
-    return EXIT_IO, f"ill-posed fit: {exc}"
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     models = _model_list(cfg, args.models)
@@ -373,20 +351,12 @@ def cmd_run(args) -> int:
     failure_codes = set()
     for name in models:
         t0 = time.perf_counter()
-        try:
-            entry, model = _train_one_model(name, settings[name], split, ens_cfg)
-        except (NumericDivergenceError, IllPosedError) as exc:
-            code, errors[name] = _fit_failure(exc)
-            failure_codes.add(code)
-            trace = getattr(exc, "trace", None)
-            entries[name] = {
-                "kind": "failed",
-                "metrics": None,
-                "trace": None if trace is None else trace_as_dict(trace),
-            }
-        else:
-            entries[name] = entry
+        entries[name], model, failure = _train_or_fail(name, settings[name], split, ens_cfg)
+        if failure is None:
             save_model(model, os.path.join(args.out_dir, f"{name}.tckm"))
+        else:
+            failure_codes.add(failure[0])
+            errors[name] = failure[1]
         timings[f"train_{name}_seconds"] = time.perf_counter() - t0
 
     overrides = {
@@ -397,13 +367,14 @@ def cmd_run(args) -> int:
     }
     report = RunReport(
         config=_effective_config(cfg, overrides),
-        audit=audit.as_dict(),
+        audit=asdict(audit),
         models=entries,
         timings=timings,
         errors=errors,
     )
     write_report(report, os.path.join(args.out_dir, "report.json"))
-    _print_summary(entries)
+    _print_table(("model", "split", "mse", "mae"),
+                 [(name, *m) for name in sorted(entries) for m in _part_metrics(entries[name])])
     for name in sorted(errors):
         print(f"{name}: {errors[name]}", file=sys.stderr)
     return min(failure_codes, default=EXIT_OK)
@@ -416,9 +387,11 @@ def _parse_proportions(raw: str) -> list[float]:
         raise ConfigError(f"proportions must be numbers, got {raw!r}") from None
     if not values:
         raise ConfigError("at least one proportion is required")
-    for v in values:
+    for i, v in enumerate(values):
         if not (0.0 <= v <= 1.0):
             raise ConfigError(f"proportions must lie in [0, 1], got {v}")
+        if v in values[:i]:
+            raise ConfigError(f"proportion {v} listed twice")
     return values
 
 
@@ -443,49 +416,33 @@ def cmd_filter_sweep(args) -> int:
         t0 = time.perf_counter()
         split, audit = run_preprocess(table, pre_cfg, replace(base_filter, discard_proportion=prop))
         if shared_audit is None:
-            shared_audit = audit.as_dict()
-            shared_audit["filter"] = None  # per-row, not shared
+            shared_audit = asdict(replace(audit, filter=None))  # per row, not shared
+        entry, _model, failure = _train_or_fail(swept_model, setting, split, ens_cfg)
+        if failure is not None:
+            failure_codes.add(failure[0])
+            errors[f"proportion={prop}"] = failure[1]
         row = {
             "proportion": prop,
-            "candidates": audit.filter_candidates,
-            "discarded": audit.filter_discarded,
+            "candidates": audit.filter["candidates"],
+            "discarded": audit.filter["discarded"],
             "train_size": split.train.m,
         }
-        try:
-            entry, _model = _train_one_model(swept_model, setting, split, ens_cfg)
-        except (NumericDivergenceError, IllPosedError) as exc:
-            code, errors[f"proportion={prop}"] = _fit_failure(exc)
-            failure_codes.add(code)
-            row.update({"train_mse": None, "val_mse": None, "test_mse": None,
-                        "train_mae": None, "val_mae": None, "test_mae": None})
-        else:
-            for part in ("train", "val", "test"):
-                pair = entry["metrics"][part]
-                row[f"{part}_mse"] = None if pair is None else pair["mse"]
-                row[f"{part}_mae"] = None if pair is None else pair["mae"]
+        for part, mse, mae in _part_metrics(entry):
+            row[f"{part}_mse"], row[f"{part}_mae"] = mse, mae
         timings[f"proportion_{prop}_seconds"] = time.perf_counter() - t0
         rows.append(row)
 
     report = RunReport(
         config=_effective_config(cfg, {"proportions": args.proportions}),
-        audit=shared_audit or {},
+        audit=shared_audit,
         models={},
         timings=timings,
         sweep=[dict(r, model=swept_model) for r in rows],
         errors=errors,
     )
     write_report(report, args.out)
-
     header = ("proportion", "discarded", "train_mse", "val_mse", "test_mse")
-    table_rows = [header]
-    for row in rows:
-        table_rows.append(tuple(
-            "-" if row.get(k) is None else (f"{row[k]:.6g}" if isinstance(row[k], float) else str(row[k]))
-            for k in header
-        ))
-    widths = [max(len(r[i]) for r in table_rows) for i in range(len(header))]
-    for r in table_rows:
-        print("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
+    _print_table(header, [[row[k] for k in header] for row in rows])
     return min(failure_codes, default=EXIT_OK)
 
 

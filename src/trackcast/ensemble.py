@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import WindowedDataset
-from .errors import InvalidArgumentError, NumericDivergenceError
+from .errors import IllPosedError, InvalidArgumentError, NumericDivergenceError
 from .neural import NetworkConfig, NetworkParams, TrainTrace, predict_batch, train
 from .rng import derive_seed
 
@@ -98,7 +98,7 @@ class EnsembleModel:
 def bootstrap_sample(ds: WindowedDataset, n_prime: int, seed: int) -> WindowedDataset:
     """Uniform with-replacement resample of n_prime windows."""
     if ds.m == 0:
-        raise InvalidArgumentError("cannot bootstrap an empty dataset")
+        raise IllPosedError("cannot bootstrap an empty dataset")
     if int(n_prime) < 1:
         raise InvalidArgumentError("n_prime must be positive")
     rng = np.random.default_rng(int(seed))
@@ -258,12 +258,8 @@ def fit_stacker(members, val_ds: WindowedDataset, val_preds=None) -> Combiner:
     return _stacker_from_predictions(val_preds, np.asarray(val_ds.targets, dtype=np.float64))
 
 
-def with_stacker(model: EnsembleModel, val_ds: WindowedDataset, val_preds=None) -> EnsembleModel:
-    """Same members, stacked combiner; ``val_preds`` as in ``fit_stacker``."""
-    return replace(model, combiner=fit_stacker(model.members, val_ds, val_preds))
-
-
-def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray, member_preds=None) -> np.ndarray:
+def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray,
+                           member_preds=None) -> np.ndarray:
     """Combined prediction for a stack of windows.
 
     ``member_preds``, when given, must be

@@ -10,9 +10,9 @@ class InvalidArgumentError(TrackcastError, ValueError):
 
 
 class IllPosedError(InvalidArgumentError):
-    """The data hold too few samples: fewer windows than a fit has free
-    parameters or a split needs, or fewer rows or points than a
-    statistic needs."""
+    """The data hold too few samples: an empty train or validation set,
+    fewer windows than a fit has free parameters or a split needs, or
+    fewer rows or points than a statistic needs."""
 
 
 class ConfigError(TrackcastError):

@@ -96,7 +96,8 @@ class SynthConfig:
             )
         if int(self.constant_feature_count) < 0 or int(self.irrelevant_feature_count) < 0:
             raise InvalidArgumentError("feature counts must be non-negative")
-        if int(self.constant_feature_count) + int(self.irrelevant_feature_count) + 4 > int(self.n_features):
+        reserved = int(self.constant_feature_count) + int(self.irrelevant_feature_count) + 4
+        if reserved > int(self.n_features):
             raise InvalidArgumentError(
                 "constant + irrelevant features plus the 4 reserved columns "
                 "exceed n_features"

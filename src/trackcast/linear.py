@@ -80,7 +80,7 @@ def _solve_normal_equations(design: np.ndarray, response: np.ndarray):
 def fit_linear(ds: WindowedDataset) -> LinearModel:
     """Ordinary least squares of targets on last-row exogenous features."""
     if ds.m == 0:
-        raise InvalidArgumentError("cannot fit on an empty dataset")
+        raise IllPosedError("cannot fit on an empty dataset")
     exog = _exog_indices(ds.n, ds.target_feature)
     if ds.m <= len(exog):
         raise IllPosedError(
@@ -355,7 +355,7 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     """
     p, d, q = check_order(p, d, q, ds.l)
     if ds.m == 0:
-        raise InvalidArgumentError("cannot fit on an empty dataset")
+        raise IllPosedError("cannot fit on an empty dataset")
 
     z, zy, xt, x_last = _window_diff_parts(ds, d)
     big_l, m = z.shape

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import WindowedDataset
-from .errors import InvalidArgumentError, NumericDivergenceError
+from .errors import IllPosedError, InvalidArgumentError, NumericDivergenceError
 from .rng import derive_seed
 
 _ADAM_BETA1 = 0.9
@@ -37,7 +37,6 @@ _GRU_GATES = ("z", "r", "h")
 # on two threads: LSTM 113/118/133 and 61/63/75 ms, against 122 ms for
 # the whole split in one call.
 _PREDICT_CHUNK = 1024
-_predict_pool = None  # created by the first parallel predict_batch call
 _predict_lock = threading.Lock()
 
 
@@ -448,18 +447,16 @@ def _one_blas_thread():
 
 
 def _parallel_forward(fwd, params: NetworkParams, chunks) -> list:
-    """``fwd`` over every chunk on the pool, one thread per core, with
+    """``fwd`` over every chunk on a pool of one thread per core, with
     numpy's OpenBLAS held to one thread until the last chunk is done:
-    two BLAS threads under two Python threads ran slower than serial."""
-    from concurrent.futures import ThreadPoolExecutor, wait
+    two BLAS threads under two Python threads ran slower than serial.
+    The pool's threads end before this returns."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    global _predict_pool
-    with _predict_lock, _one_blas_thread():
-        if _predict_pool is None:
-            _predict_pool = ThreadPoolExecutor(_usable_cores(),
-                                               thread_name_prefix="trackcast-predict")
-        futures = [_predict_pool.submit(fwd, params, c, False) for c in chunks]
-        wait(futures)
+    with _predict_lock, _one_blas_thread(), ThreadPoolExecutor(
+        _usable_cores(), thread_name_prefix="trackcast-predict"
+    ) as pool:
+        futures = [pool.submit(fwd, params, c, False) for c in chunks]
         return [f.result()[0] for f in futures]
 
 
@@ -618,7 +615,7 @@ def train(cfg: NetworkConfig, train_ds: WindowedDataset, val_ds: WindowedDataset
     loss raises a divergence error carrying the partial trace.
     """
     if train_ds.m == 0 or val_ds.m == 0:
-        raise InvalidArgumentError("train and validation sets must be non-empty")
+        raise IllPosedError("train and validation sets must be non-empty")
     if (train_ds.l, train_ds.n) != (val_ds.l, val_ds.n):
         raise InvalidArgumentError("train and validation window shapes must match")
     initial = init_params(cfg, train_ds.n, train_ds.l)

@@ -18,10 +18,10 @@ from typing import Any, get_type_hints
 
 import numpy as np
 
-from .ensemble import BoostTrace, Combiner, EnsembleModel
+from .ensemble import Combiner, EnsembleModel
 from .errors import IntegrityError, InvalidArgumentError, UnsupportedVersionError
 from .linear import ArimaxModel, LinearModel
-from .neural import NetworkParams, TrainTrace
+from .neural import NetworkParams
 
 MAGIC = b"TCKM"
 FORMAT_VERSION = 1
@@ -245,23 +245,6 @@ def _round_metrics(node: Any) -> Any:
     if isinstance(node, (list, tuple)):
         return [_round_metrics(v) for v in node]
     return node
-
-
-def trace_as_dict(trace: TrainTrace) -> dict:
-    return {
-        "train_losses": list(trace.train_losses),
-        "val_losses": list(trace.val_losses),
-        "stopped_epoch": trace.stopped_epoch,
-        "best_epoch": trace.best_epoch,
-        "restored": trace.restored,
-    }
-
-
-def boost_trace_as_dict(trace: BoostTrace) -> dict:
-    return {
-        "selected_indices": [list(sel) for sel in trace.selected_indices],
-        "stopped_early": trace.stopped_early,
-    }
 
 
 @dataclass(frozen=True)

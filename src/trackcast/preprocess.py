@@ -301,53 +301,21 @@ def variance_histogram(ds: WindowedDataset, bin_edges) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreprocessAudit:
-    """What the pipeline did, for the run report."""
+    """What the pipeline did, in the run report's layout: the report's
+    ``audit`` section is ``dataclasses.asdict`` of it."""
 
     dropped_constant_columns: tuple[str, ...]
     outlier_rows_removed: int
     sigma_convention: str
-    correlation: CorrelationReport
-    correlation_by_name: dict[str, float]
+    correlation: dict  # per_feature_r (column name -> r), mean_abs_r, warning
     selected_features: tuple[str, ...]
     dropped_features: tuple[str, ...]
-    scaler_columns: dict[str, tuple[float, float]]
+    scaler: dict[str, tuple[float, float]]  # column name -> (min, max)
     window_width: int
     windows_total: int
-    split_sizes: tuple[int, int, int]
-    filter_threshold: float | None = None
-    filter_proportion: float | None = None
-    filter_candidates: int | None = None
-    filter_discarded: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "dropped_constant_columns": list(self.dropped_constant_columns),
-            "outlier_rows_removed": self.outlier_rows_removed,
-            "sigma_convention": self.sigma_convention,
-            "correlation": {
-                "per_feature_r": dict(sorted(self.correlation_by_name.items())),
-                "mean_abs_r": self.correlation.mean_abs_r,
-                "warning": self.correlation.warning,
-            },
-            "selected_features": list(self.selected_features),
-            "dropped_features": list(self.dropped_features),
-            "scaler": {k: list(v) for k, v in sorted(self.scaler_columns.items())},
-            "window_width": self.window_width,
-            "windows_total": self.windows_total,
-            "split_sizes": {
-                "train": self.split_sizes[0],
-                "test": self.split_sizes[1],
-                "val": self.split_sizes[2],
-            },
-            "filter": None
-            if self.filter_threshold is None
-            else {
-                "variance_threshold": self.filter_threshold,
-                "discard_proportion": self.filter_proportion,
-                "candidates": self.filter_candidates,
-                "discarded": self.filter_discarded,
-            },
-        }
+    split_sizes: dict[str, int]  # train, test, val
+    # variance_threshold, discard_proportion, candidates, discarded
+    filter: dict | None = None
 
 
 def run_preprocess(
@@ -366,60 +334,49 @@ def run_preprocess(
     stage2, removed_rows = remove_outliers_zscore(stage1, cfg.zscore_threshold)
 
     stage3, corr_report = select_features(stage2, cfg.correlation_threshold)
-    corr_by_name = {
-        stage2.column_names[idx]: r for idx, r in corr_report.per_feature_r.items()
-    }
     kept_names = set(stage3.column_names)
-    selected = tuple(
-        stage2.column_names[idx]
-        for idx in stage2.feature_indices()
-        if stage2.column_names[idx] in kept_names
-    )
-    dropped_feats = tuple(
-        stage2.column_names[idx]
-        for idx in stage2.feature_indices()
-        if stage2.column_names[idx] not in kept_names
-    )
+    candidates = [stage2.column_names[idx] for idx in stage2.feature_indices()]
 
     scaler = fit_scaler(stage3)
     scaled = apply_scaler(stage3, scaler)
-    scaler_cols = {
-        stage3.column_names[c]: (float(lo), float(hi))
-        for c, lo, hi in zip(scaler.columns, scaler.mins, scaler.maxs)
-    }
 
     ds = make_windows(scaled, cfg.window_width)
     split = shuffle_split(ds, cfg.split_fractions, cfg.shuffle_seed)
 
-    f_threshold = f_proportion = None
-    f_candidates = f_discarded = None
+    filter_audit = None
     if filter_cfg is not None:
         variances = split.train.windows[:, :, split.train.target_feature].var(axis=1)
-        f_candidates = int(
-            np.count_nonzero(variances < float(filter_cfg.variance_threshold))
-        )
-        filtered, f_discarded = proportional_filter(
+        filtered, discarded = proportional_filter(
             split.train, filter_cfg, split.train.target_feature
         )
         split = replace(split, train=filtered)
-        f_threshold = float(filter_cfg.variance_threshold)
-        f_proportion = float(filter_cfg.discard_proportion)
+        filter_audit = {
+            "variance_threshold": float(filter_cfg.variance_threshold),
+            "discard_proportion": float(filter_cfg.discard_proportion),
+            "candidates": int(np.count_nonzero(variances < float(filter_cfg.variance_threshold))),
+            "discarded": discarded,
+        }
 
     audit = PreprocessAudit(
         dropped_constant_columns=const_names,
         outlier_rows_removed=int(removed_rows.size),
         sigma_convention="sample",
-        correlation=corr_report,
-        correlation_by_name=corr_by_name,
-        selected_features=selected,
-        dropped_features=dropped_feats,
-        scaler_columns=scaler_cols,
+        correlation={
+            "per_feature_r": {
+                stage2.column_names[idx]: r for idx, r in corr_report.per_feature_r.items()
+            },
+            "mean_abs_r": corr_report.mean_abs_r,
+            "warning": corr_report.warning,
+        },
+        selected_features=tuple(name for name in candidates if name in kept_names),
+        dropped_features=tuple(name for name in candidates if name not in kept_names),
+        scaler={
+            stage3.column_names[c]: (float(lo), float(hi))
+            for c, lo, hi in zip(scaler.columns, scaler.mins, scaler.maxs)
+        },
         window_width=int(cfg.window_width),
         windows_total=ds.m,
-        split_sizes=(split.train.m, split.test.m, split.val.m),
-        filter_threshold=f_threshold,
-        filter_proportion=f_proportion,
-        filter_candidates=f_candidates,
-        filter_discarded=f_discarded,
+        split_sizes={"train": split.train.m, "test": split.test.m, "val": split.val.m},
+        filter=filter_audit,
     )
     return split, audit

@@ -70,6 +70,7 @@ def keyed_normal(seed: int, index, stream: int) -> np.ndarray:
     Box-Muller on two uniforms from sub-channels of ``stream``; uniforms
     live in (0, 1] so the log never sees zero.
     """
-    u1 = ((_keyed_u64(seed, index, 2 * stream) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = ((_keyed_u64(seed, index, 2 * stream + 1) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+    top53 = np.uint64(11)  # shift keeping the top 53 bits
+    u1 = ((_keyed_u64(seed, index, 2 * stream) >> top53).astype(np.float64) + 1.0) * _INV_2_53
+    u2 = ((_keyed_u64(seed, index, 2 * stream + 1) >> top53).astype(np.float64) + 1.0) * _INV_2_53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

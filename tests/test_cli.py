@@ -94,6 +94,15 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "sweep.json")])
         assert code == EXIT_CONFIG
 
+    def test_sweep_proportion_listed_twice(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", cli_workspace["config"],
+                     "--data", cli_workspace["data"], "--proportions", "0.5,0,0.0",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "config error: proportion 0.0 listed twice\n"
+
     def test_sweep_proportions_not_numeric(self, cli_workspace, tmp_path):
         code = main(["filter-sweep", "--config", cli_workspace["config"],
                      "--data", cli_workspace["data"],
@@ -569,6 +578,65 @@ class TestFilterSweep:
         assert code == EXIT_IO
 
 
+class TestEmptyPart:
+    """A train or validation part left empty by the filter or the split
+    fractions fails each fit that needs it, as an ill-posed fit (exit 3,
+    report kept), not the whole command."""
+
+    def _config(self, ws, tmp_path, **sections):
+        cfg = json.loads(json.dumps(ws["config_dict"]))
+        cfg["model"]["models"] = ["lr", "gru"]
+        for section, body in sections.items():
+            cfg.setdefault(section, {}).update(body)
+        return write_config(tmp_path, cfg)
+
+    def test_sweep_keeps_the_rows_that_fit(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(["filter-sweep", "--config", self._config(cli_workspace, tmp_path, filter={}),
+                     "--data", cli_workspace["data"], "--proportions", "0,0.5,1",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        doc = json.loads(out.read_text())
+        rows = doc["sweep"]
+        assert [r["proportion"] for r in rows] == [0.0, 0.5, 1.0]
+        assert rows[2]["train_size"] == 0
+        assert all(r["train_mse"] is not None for r in rows[:2])
+        assert all(rows[2][f"{p}_{m}"] is None for p in ("train", "val", "test")
+                   for m in ("mse", "mae"))
+        assert doc["errors"] == {"proportion=1.0": "ill-posed fit: cannot fit on an empty dataset"}
+        assert "config error" not in capsys.readouterr().err
+
+    def test_run_with_an_empty_train_part(self, cli_workspace, tmp_path, capsys):
+        code, out_dir = run_cli(cli_workspace, tmp_path, "--filter-proportion", "1",
+                                config=self._config(cli_workspace, tmp_path))
+        assert code == EXIT_IO
+        report = read_report(out_dir)
+        assert report["audit"]["split_sizes"]["train"] == 0
+        assert report["models"] == {"lr": {"kind": "failed", "metrics": None, "trace": None},
+                                    "gru": {"kind": "failed", "metrics": None, "trace": None}}
+        assert report["errors"] == {
+            "lr": "ill-posed fit: cannot fit on an empty dataset",
+            "gru": "ill-posed fit: train and validation sets must be non-empty",
+        }
+        assert os.listdir(out_dir) == ["report.json"]
+        assert "config error" not in capsys.readouterr().err
+
+    def test_run_with_an_empty_validation_part(self, cli_workspace, tmp_path, capsys):
+        config = self._config(cli_workspace, tmp_path,
+                              preprocess={"split_fractions": [0.5, 0.5, 0.0]})
+        code, out_dir = run_cli(cli_workspace, tmp_path, config=config)
+        assert code == EXIT_IO
+        report = read_report(out_dir)
+        assert report["audit"]["split_sizes"]["val"] == 0
+        assert report["models"]["lr"]["kind"] == "linear"
+        assert report["models"]["lr"]["metrics"]["val"] is None
+        assert report["models"]["gru"] == {"kind": "failed", "metrics": None, "trace": None}
+        assert report["errors"] == {
+            "gru": "ill-posed fit: train and validation sets must be non-empty"}
+        assert sorted(os.listdir(out_dir)) == ["lr.tckm", "report.json"]
+        assert "config error" not in capsys.readouterr().err
+
+
 class TestTooFewWindows:
     """Data that cut into fewer than 3 windows cannot be split: a data
     error (exit 3), not a config error."""
@@ -699,3 +767,216 @@ class TestOneBlasThread:
                             (out_dir / "arima.tckm").read_bytes()))
         assert sorted(os.listdir(out_dir)) == ["arima.tckm", "lr.tckm", "report.json"]
         assert outputs[0] == outputs[1]
+
+
+def _layout(node, path="", out=None):
+    """Key path -> the set of JSON types found there.  ``[]`` stands for
+    the elements of an array, ``*`` for the column-name keys of the
+    audit's correlation and scaler maps."""
+    out = {} if out is None else out
+    kind = {dict: "object", list: "array", str: "string", bool: "bool", int: "int",
+            float: "float", type(None): "null"}[type(node)]
+    out.setdefault(path, set()).add(kind)
+    if isinstance(node, dict):
+        by_name = path in ("audit.correlation.per_feature_r", "audit.scaler")
+        for key, value in node.items():
+            _layout(value, f"{path}.{'*' if by_name else key}".lstrip("."), out)
+    elif isinstance(node, list):
+        for value in node:
+            _layout(value, path + "[]", out)
+    return out
+
+
+def _paths(prefix, spec):
+    """``{prefix}.{key}: {type}`` for each line ``key type`` of ``spec``."""
+    pairs = (line.split() for line in spec.splitlines() if line.strip())
+    return {f"{prefix}.{key}".strip("."): {kind} for key, kind in pairs}
+
+
+_PAIRS = "".join(f"{p} object\n{p}.mse float\n{p}.mae float\n" for p in ("train", "val", "test"))
+_TRACE = """
+. object
+train_losses array
+train_losses[] float
+val_losses array
+val_losses[] float
+stopped_epoch int
+best_epoch int
+restored bool
+"""
+_AUDIT = """
+. object
+dropped_constant_columns array
+dropped_constant_columns[] string
+outlier_rows_removed int
+sigma_convention string
+correlation object
+correlation.per_feature_r object
+correlation.per_feature_r.* float
+correlation.mean_abs_r float
+correlation.warning null
+selected_features array
+selected_features[] string
+dropped_features array
+dropped_features[] string
+scaler object
+scaler.* array
+scaler.*[] float
+window_width int
+windows_total int
+split_sizes object
+split_sizes.train int
+split_sizes.test int
+split_sizes.val int
+filter null
+"""
+
+
+def _ensemble_paths(prefix, spec):
+    return {
+        **_paths(prefix, ". object\nkind string\nmetrics object\n" + spec),
+        **_paths(f"{prefix}.metrics", _PAIRS),
+        **_paths(f"{prefix}.ensemble", """
+            . object
+            method string
+            member_count int
+            combiner object
+            combiner.kind string
+            combiner.weights array
+            combiner.bias float
+            combiner.fallback_reason null
+            member_metrics array
+            member_metrics[] object
+            member_traces array
+            retried_members array
+        """),
+        **_paths(f"{prefix}.ensemble.member_metrics[]", _PAIRS),
+        **_paths(f"{prefix}.ensemble.member_traces[]", _TRACE),
+    }
+
+
+def _report_paths(models, timings, errors=""):
+    return {
+        **_paths("", ". object\nschema_version int\nmodels object\nerrors object\n"
+                     "timings object"),
+        **_paths("audit", _AUDIT),
+        **_paths("timings", "read_csv_seconds float\n" + timings),
+        **_paths("errors", errors),
+        **models,
+    }
+
+
+class TestReportLayout:
+    """Every key path of the reports of ``run`` and ``filter-sweep``, and
+    the JSON type at that path, for each kind of model entry: a linear
+    model, ARIMAX(2,0,1), a plain network, a stacked bagging CNN, a
+    boosting CNN and a network whose training diverged."""
+
+    def _run(self, ws, tmp_path, name, models, ensemble=None, train=None):
+        cfg = json.loads(json.dumps(ws["config_dict"]))
+        cfg["model"].update(models=models, arima_order=[2, 0, 1])
+        cfg["train"].update(train or {})
+        if ensemble is not None:
+            cfg["ensemble"] = ensemble
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / name
+        code = main(["run", "--config", str(path), "--data", ws["data"],
+                     "--out-dir", str(out_dir)])
+        report = read_report(out_dir)
+        assert report.pop("config") == dict(cfg, _overrides={})
+        return code, _layout(report)
+
+    def test_run_reports(self, cli_workspace, tmp_path):
+        times = "preprocess_seconds float\n"
+        code, layout = self._run(cli_workspace, tmp_path, "linear_and_bagging",
+                                 ["lr", "arima", "cnn"],
+                                 {"method": "bagging", "members": 2, "stack": True})
+        assert code == EXIT_OK
+        assert layout == _report_paths({
+            **_paths("models", ". object"),
+            **_paths("models.lr", ". object\nkind string\nmetrics object\ndetails object\n"
+                                  "details.ridge_fallback bool"),
+            **_paths("models.lr.metrics", _PAIRS),
+            **_paths("models.arima", """
+                . object
+                kind string
+                metrics object
+                details object
+                details.order array
+                details.order[] int
+                details.css_initial float
+                details.css_final float
+                details.css_warning bool
+            """),
+            **_paths("models.arima.metrics", _PAIRS),
+            **_ensemble_paths("models.cnn", """
+                ensemble.boost_threshold null
+                ensemble.boost_trace null
+                ensemble.combiner.weights[] float
+            """),
+        }, times + "train_lr_seconds float\ntrain_arima_seconds float\n"
+                   "train_cnn_seconds float")
+
+        code, layout = self._run(cli_workspace, tmp_path, "boosting", ["cnn"],
+                                 {"method": "boosting", "members": 3, "boost_threshold": 0.05})
+        assert code == EXIT_OK
+        assert layout == _report_paths({
+            **_paths("models", ". object"),
+            **_ensemble_paths("models.cnn", """
+                ensemble.boost_threshold float
+                ensemble.boost_trace object
+                ensemble.boost_trace.selected_indices array
+                ensemble.boost_trace.selected_indices[] array
+                ensemble.boost_trace.selected_indices[][] int
+                ensemble.boost_trace.stopped_early bool
+            """),
+        }, times + "train_cnn_seconds float")
+
+        code, layout = self._run(cli_workspace, tmp_path, "network", ["gru"])
+        assert code == EXIT_OK
+        assert layout == _report_paths({
+            **_paths("models", ". object"),
+            **_paths("models.gru", ". object\nkind string\nmetrics object"),
+            **_paths("models.gru.metrics", _PAIRS),
+            **_paths("models.gru.trace", _TRACE),
+        }, times + "train_gru_seconds float")
+
+        # a divergence in the first epoch leaves a trace with no epoch
+        code, layout = self._run(cli_workspace, tmp_path, "diverged", ["lstm"],
+                                 train={"l2_lambda": 1e308})
+        assert code == EXIT_DIVERGENCE
+        trace = {k: v for k, v in _paths("models.lstm.trace", _TRACE).items()
+                 if not k.endswith("[]")}
+        assert layout == _report_paths({
+            **_paths("models", ". object"),
+            **_paths("models.lstm", ". object\nkind string\nmetrics null"),
+            **trace,
+        }, times + "train_lstm_seconds float", errors="lstm string")
+
+    def test_filter_sweep_report(self, cli_workspace, tmp_path):
+        cfg = json.loads(json.dumps(cli_workspace["config_dict"]))
+        cfg["filter"] = {"variance_threshold": 0.002, "seed": 11}
+        out = tmp_path / "sweep.json"
+        assert main(["filter-sweep", "--config", write_config(tmp_path, cfg),
+                     "--data", cli_workspace["data"], "--proportions", "0,0.5",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report.pop("config") == dict(cfg, _overrides={"proportions": "0,0.5"})
+        layout = _layout(report)
+        assert layout == _report_paths({
+            **_paths("", "sweep array\nsweep[] object"),
+            **_paths("sweep[]", """
+                model string
+                proportion float
+                candidates int
+                discarded int
+                train_size int
+                train_mse float
+                train_mae float
+                val_mse float
+                val_mae float
+                test_mse float
+                test_mae float
+            """),
+        }, "proportion_0.0_seconds float\nproportion_0.5_seconds float")

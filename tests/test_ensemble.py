@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from trackcast.ensemble import (
     member_predictions,
     train_bagging,
     train_boosting,
-    with_stacker,
 )
 from trackcast.neural import NetworkConfig, init_params, predict_batch
 from trackcast.rng import derive_seed
@@ -299,10 +300,10 @@ class TestStacker:
         with pytest.raises(InvalidArgumentError):
             fit_stacker((some_params(),), empty)
 
-    def test_with_stacker_preserves_everything_else(self):
+    def test_stacked_model_preserves_everything_else(self):
         tr, va = make_ds(m=40), make_ds(m=16, seed=9)
         base = train_bagging(fast_cfg(), 2, tr, va)
-        stacked = with_stacker(base, va)
+        stacked = replace(base, combiner=fit_stacker(base.members, va))
         assert stacked.members is base.members or stacked.members == base.members
         assert stacked.member_traces == base.member_traces
         assert stacked.method == base.method
@@ -313,7 +314,7 @@ class TestStacker:
     def test_stacker_validation_mse_not_worse_than_mean(self):
         tr, va = make_ds(m=40), make_ds(m=16, seed=9)
         base = train_bagging(fast_cfg(max_epochs=3), 3, tr, va)
-        stacked = with_stacker(base, va)
+        stacked = replace(base, combiner=fit_stacker(base.members, va))
         if stacked.combiner.kind == "stacker":
             mean_mse = float(np.mean(
                 (ensemble_predict_batch(base, va.windows) - va.targets) ** 2))

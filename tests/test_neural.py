@@ -440,6 +440,14 @@ class TestParallelPredict:
         assert len(results) == 40
         assert all(np.array_equal(r, expected) for r in results)
 
+    def test_no_thread_outlives_the_call(self):
+        parallel_blas_or_skip()
+        ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
+        p = init_params(small_cfg("cnn"), ds.n, ds.l)
+        predict_batch(p, ds.windows)
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("trackcast-predict")]
+        assert alive == []
+
 
 class TestDatasetMse:
     def test_empty_rejected(self):

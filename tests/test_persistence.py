@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from trackcast.ensemble import (
     Combiner,
     EnsembleModel,
     ensemble_predict_batch,
+    fit_stacker,
     train_bagging,
     train_boosting,
-    with_stacker,
 )
 from trackcast.errors import (
     IntegrityError,
@@ -151,7 +152,8 @@ class TestRoundTrips:
 
     def test_stacked_ensemble(self, tmp_path):
         tr, va = make_ds(m=24, l=5), make_ds(m=16, l=5, seed=9)
-        model = with_stacker(train_bagging(fast_cfg(), 2, tr, va), va)
+        base = train_bagging(fast_cfg(), 2, tr, va)
+        model = replace(base, combiner=fit_stacker(base.members, va))
         path = tmp_path / "stack.tckm"
         save_model(model, path)
         loaded = load_model(path)

@@ -380,14 +380,12 @@ class TestRunPreprocess:
     def test_audit_structure(self, small_table):
         split, audit = run_preprocess(small_table, PreprocessConfig(window_width=8))
         assert audit.sigma_convention == "sample"
-        assert audit.split_sizes == (split.train.m, split.test.m, split.val.m)
-        assert audit.windows_total == sum(audit.split_sizes)
+        assert audit.split_sizes == {"train": split.train.m, "test": split.test.m,
+                                     "val": split.val.m}
+        assert audit.windows_total == sum(audit.split_sizes.values())
         assert audit.window_width == 8
         assert set(audit.dropped_constant_columns) == {"f1", "f2"}
-        assert audit.filter_threshold is None
-        d = audit.as_dict()
-        assert d["split_sizes"]["train"] == split.train.m
-        assert d["filter"] is None
+        assert audit.filter is None
 
     def test_scaled_windows_in_unit_cube(self, small_split):
         for part in (small_split.train, small_split.test, small_split.val):
@@ -399,11 +397,10 @@ class TestRunPreprocess:
         fcfg = FilterConfig(variance_threshold=0.002, discard_proportion=0.5, seed=11)
         plain, _ = run_preprocess(small_table, cfg)
         filtered, audit = run_preprocess(small_table, cfg, fcfg)
-        assert filtered.train.m == plain.train.m - audit.filter_discarded
+        assert filtered.train.m == plain.train.m - audit.filter["discarded"]
         assert np.array_equal(filtered.test.windows, plain.test.windows)
         assert np.array_equal(filtered.val.windows, plain.val.windows)
-        assert audit.filter_discarded == math.floor(0.5 * audit.filter_candidates + 1e-9)
-        assert audit.as_dict()["filter"]["candidates"] == audit.filter_candidates
+        assert audit.filter["discarded"] == math.floor(0.5 * audit.filter["candidates"] + 1e-9)
 
     def test_deterministic_end_to_end(self, small_table):
         cfg = PreprocessConfig(window_width=8)

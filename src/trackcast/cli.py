@@ -343,6 +343,7 @@ def cmd_run(args) -> int:
 
     t0 = time.perf_counter()
     split, audit = run_preprocess(table, pre_cfg, filter_cfg)
+    del table  # the split holds all the models need
     timings["preprocess_seconds"] = time.perf_counter() - t0
     os.makedirs(args.out_dir, exist_ok=True)
 

@@ -257,14 +257,13 @@ def evaluate_metrics(y_true, y_pred) -> MetricsPair:
         raise InvalidArgumentError("metric inputs must be non-empty")
     if not (np.isfinite(yt).all() and np.isfinite(yp).all()):
         raise InvalidArgumentError("metric inputs must be finite")
-    acc_sq = 0.0
-    acc_abs = 0.0
-    for a, b in zip(yt.tolist(), yp.tolist()):
-        r = a - b
-        acc_sq += r * r
-        acc_abs += abs(r)
     n = yt.shape[0]
-    return MetricsPair(mse=acc_sq / n, mae=acc_abs / n)
+    # cumsum adds in index order, one element at a time; an overflow
+    # gives inf, which MetricsPair rejects
+    with np.errstate(over="ignore"):
+        r = yt - yp
+        sq, ab = np.cumsum(r * r)[-1], np.cumsum(np.abs(r))[-1]
+    return MetricsPair(mse=sq / n, mae=ab / n)
 
 
 def pearson(x, y) -> float:
@@ -278,11 +277,21 @@ def pearson(x, y) -> float:
         raise IllPosedError("pearson needs at least two points")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise InvalidArgumentError("pearson inputs must be finite")
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy, sxy = _centered_sums(xa, ya)
+        overflowed = not np.isfinite([sx, sy, sxy, np.sqrt(sx) * np.sqrt(sy)]).all()
+    if overflowed:
+        # a sum overflowed; r does not change when x or y is scaled, so
+        # bring each to a largest magnitude of 1 (all zeros stay zeros)
+        sx, sy, sxy = _centered_sums(*(a / (np.abs(a).max() or 1.0) for a in (xa, ya)))
     if sx == 0.0 or sy == 0.0:
         return 0.0
-    r = float(dx @ dy) / (np.sqrt(sx) * np.sqrt(sy))
+    r = sxy / (np.sqrt(sx) * np.sqrt(sy))
     return float(min(1.0, max(-1.0, r)))
+
+
+def _centered_sums(xa: np.ndarray, ya: np.ndarray) -> tuple[float, float, float]:
+    """Sums of squares and of products of the deviations from the means."""
+    dx = xa - xa.mean()
+    dy = ya - ya.mean()
+    return float(dx @ dx), float(dy @ dy), float(dx @ dy)

@@ -158,6 +158,9 @@ def _read_header(reader, path, schema: CsvSchema) -> list[str]:
     except StopIteration:
         raise DataFormatError(f"{path}: empty file, missing header") from None
     header = [h.strip() for h in header]
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise DataFormatError(f"{path}: header repeats column name {repeated!r}")
     missing = [
         name
         for name in (schema.mileage_column, schema.meters_column, schema.target_column)

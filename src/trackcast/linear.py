@@ -301,10 +301,16 @@ def _initial_residuals(z, xt, order: int) -> np.ndarray:
     position t >= order; zero before.  A function of its own so that the
     (L - order) * m-row design is freed before the refinement runs."""
     big_l, m = z.shape
-    design = np.vstack([
-        np.column_stack([np.ones(m)] + [z[t - i] for i in range(1, order + 1)] + [xt[:, t, :]])
-        for t in range(order, big_l)
-    ])
+    # filled in place, in the Fortran order the stacked blocks had:
+    # ``design @ coef`` below takes another BLAS kernel, and other bits,
+    # on a C-ordered design
+    design = np.empty(((big_l - order) * m, 1 + order + xt.shape[2]), order="F")
+    for t in range(order, big_l):
+        block = design[(t - order) * m : (t - order + 1) * m]
+        block[:, 0] = 1.0
+        for i in range(1, order + 1):
+            block[:, i] = z[t - i]
+        block[:, order + 1 :] = xt[:, t, :]
     resp = z[order:].ravel()
     if design.shape[0] <= design.shape[1]:
         raise IllPosedError("too few windows for the residual regression")

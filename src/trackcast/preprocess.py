@@ -215,21 +215,19 @@ def make_windows(table: RawTable, l: int) -> WindowedDataset:
     feats = table.rows[:, feat_cols]
     target = table.column(table.target_column)
     tf = feat_cols.index(table.target_column)
-    chunks = []
-    target_chunks = []
-    for start, end in _run_bounds(table):
-        run_len = end - start
-        if run_len <= l:
-            continue
+    runs = [(start, end) for start, end in _run_bounds(table) if end - start > l]
+    m = sum(end - start - l for start, end in runs)
+    # each window is written once, straight into the C-ordered array the
+    # dataset keeps
+    windows = np.empty((m, l, len(feat_cols)))
+    targets = np.empty(m)
+    pos = 0
+    for start, end in runs:
+        k = end - start - l
         view = sliding_window_view(feats[start:end], l, axis=0)  # (R-l+1, n, l)
-        chunks.append(np.moveaxis(view[: run_len - l], 2, 1))
-        target_chunks.append(target[start + l : end])
-    if chunks:
-        windows = np.concatenate(chunks, axis=0)
-        targets = np.concatenate(target_chunks)
-    else:
-        windows = np.empty((0, l, len(feat_cols)))
-        targets = np.empty(0)
+        windows[pos : pos + k] = np.moveaxis(view[:k], 2, 1)
+        targets[pos : pos + k] = target[start + l : end]
+        pos += k
     return WindowedDataset(
         windows=windows, targets=targets, l=l, n=len(feat_cols), target_feature=tf
     )
@@ -328,20 +326,26 @@ def run_preprocess(
     The proportional filter, when configured, applies to the train part
     only; test and validation windows stay untouched.
     """
-    stage1, const_dropped = drop_constant_features(table)
+    # each stage's table and the full windowed set go as soon as the
+    # next stage holds what it needs; the audit keeps names and counts
+    stage, const_dropped = drop_constant_features(table)
     const_names = tuple(table.column_names[i] for i in const_dropped)
 
-    stage2, removed_rows = remove_outliers_zscore(stage1, cfg.zscore_threshold)
+    stage, removed_rows = remove_outliers_zscore(stage, cfg.zscore_threshold)
+    candidate_names = stage.column_names
+    candidates = [candidate_names[idx] for idx in stage.feature_indices()]
 
-    stage3, corr_report = select_features(stage2, cfg.correlation_threshold)
-    kept_names = set(stage3.column_names)
-    candidates = [stage2.column_names[idx] for idx in stage2.feature_indices()]
+    stage, corr_report = select_features(stage, cfg.correlation_threshold)
+    kept_names = stage.column_names
 
-    scaler = fit_scaler(stage3)
-    scaled = apply_scaler(stage3, scaler)
+    scaler = fit_scaler(stage)
+    stage = apply_scaler(stage, scaler)
 
-    ds = make_windows(scaled, cfg.window_width)
+    ds = make_windows(stage, cfg.window_width)
+    del stage
+    windows_total = ds.m
     split = shuffle_split(ds, cfg.split_fractions, cfg.shuffle_seed)
+    del ds
 
     filter_audit = None
     if filter_cfg is not None:
@@ -363,7 +367,7 @@ def run_preprocess(
         sigma_convention="sample",
         correlation={
             "per_feature_r": {
-                stage2.column_names[idx]: r for idx, r in corr_report.per_feature_r.items()
+                candidate_names[idx]: r for idx, r in corr_report.per_feature_r.items()
             },
             "mean_abs_r": corr_report.mean_abs_r,
             "warning": corr_report.warning,
@@ -371,11 +375,11 @@ def run_preprocess(
         selected_features=tuple(name for name in candidates if name in kept_names),
         dropped_features=tuple(name for name in candidates if name not in kept_names),
         scaler={
-            stage3.column_names[c]: (float(lo), float(hi))
+            kept_names[c]: (float(lo), float(hi))
             for c, lo, hi in zip(scaler.columns, scaler.mins, scaler.maxs)
         },
         window_width=int(cfg.window_width),
-        windows_total=ds.m,
+        windows_total=windows_total,
         split_sizes={"train": split.train.m, "test": split.test.m, "val": split.val.m},
         filter=filter_audit,
     )

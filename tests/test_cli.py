@@ -218,6 +218,48 @@ class TestIoErrors:
         assert "not valid UTF-8" in capsys.readouterr().err
 
 
+class TestDataFileFaults:
+    """Faults inside a readable data file: a repeated header name is a
+    data error (exit 3), and a large finite value is data like any other."""
+
+    @pytest.fixture
+    def synth_lines(self, tmp_path):
+        path = tmp_path / "synth.csv"
+        write_csv(generate_synthetic(SynthConfig(n_rows=600, seed=3)), path)
+        return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def test_repeated_header_name_exits_3_without_out_dir(
+            self, cli_workspace, synth_lines, tmp_path, capsys):
+        header = synth_lines[0].rstrip("\n").split(",")
+        header[header.index("f1")] = "f2"
+        bad = tmp_path / "dup.csv"
+        bad.write_text(",".join(header) + "\n" + "".join(synth_lines[1:]), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", cli_workspace["config"], "--data", str(bad),
+                     "--out-dir", str(out_dir)])
+        assert code == EXIT_IO
+        assert not out_dir.exists()
+        assert capsys.readouterr().err == f"data error: {bad}: header repeats column name 'f2'\n"
+
+    def test_huge_finite_feature_runs_with_empty_stderr(
+            self, cli_workspace, synth_lines, tmp_path):
+        header = synth_lines[0].rstrip("\n").split(",")
+        row = synth_lines[300].rstrip("\n").split(",")
+        row[header.index("f9")] = "1e308"
+        data = tmp_path / "huge.csv"
+        data.write_text("".join(synth_lines[:300]) + ",".join(row) + "\n"
+                        + "".join(synth_lines[301:]), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trackcast.cli", "run", "--config", cli_workspace["config"],
+             "--data", str(data), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+
 class TestSynth:
     def test_writes_deterministic_csv(self, tmp_path, capsys):
         path = write_config(tmp_path, {"synth": {"n_rows": 400, "seed": 3}})

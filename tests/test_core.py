@@ -1,6 +1,9 @@
+import statistics
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trackcast.core import (
@@ -161,6 +164,25 @@ class TestMetrics:
         assert pair.mse == se / len(y)
         assert pair.mae == ae / len(y)
 
+    @given(st.integers(1, 21796), st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_equal_the_python_loop(self, n, scale, seed):
+        """The reference is a plain Python loop in index order.  It
+        squares with ``r * r``: ``r ** 2`` (C ``pow``) does not always
+        give the same last bit."""
+        rng = np.random.default_rng(seed)
+        y = rng.normal(scale=scale, size=n)
+        p = rng.normal(scale=scale, size=n)
+        acc_sq = 0.0
+        acc_abs = 0.0
+        for a, b in zip(y.tolist(), p.tolist()):
+            r = a - b
+            acc_sq += r * r
+            acc_abs += abs(r)
+        pair = evaluate_metrics(y, p)
+        assert (pair.mse, pair.mae) == (acc_sq / n, acc_abs / n)
+
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             evaluate_metrics([1.0, 2.0], [1.0])
@@ -206,6 +228,10 @@ class TestPearson:
         """Zero variance on either side is defined as exactly 0."""
         assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
         assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson([0.0, 0.0, 0.0], [1e308, -1e308, 1e308]) == 0.0
+            assert pearson([1e308] * 3, [1.0, 2.0, 3.0]) == 0.0
 
     def test_needs_two_points(self):
         with pytest.raises(InvalidArgumentError):
@@ -222,6 +248,28 @@ class TestPearson:
         rng = np.random.default_rng(seed)
         r = pearson(rng.normal(size=n), rng.normal(size=n))
         assert -1.0 <= r <= 1.0
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(0, 1023),
+        st.integers(0, 1023),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_large_finite_values_keep_their_correlation(self, u, seed, ju, jv):
+        """Scaling by a power of two is exact and leaves r alone, so the
+        reference is r of the inputs rescaled to a largest magnitude of 1;
+        2**1023 puts every sum past the float64 range."""
+        u = np.array(u)
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=u.size)
+        for w in (u, v):
+            # well conditioned, and no square of a deviation underflows
+            assume(np.abs(w).max() > 1e-100 and np.ptp(w) > 1e-3 * np.abs(w).max())
+        want = statistics.correlation(u / np.abs(u).max(), v / np.abs(v).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson(u * 2.0**ju, v * 2.0**jv)
+        assert r == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestCorrelationReport:

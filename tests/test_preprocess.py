@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from trackcast.core import RawTable, WindowedDataset
 from trackcast.errors import IllPosedError, InvalidArgumentError
+from trackcast.ingest import SynthConfig, generate_synthetic
 from trackcast.preprocess import (
     FilterConfig,
     PreprocessConfig,
@@ -408,6 +410,39 @@ class TestRunPreprocess:
         b, _ = run_preprocess(small_table, cfg)
         assert np.array_equal(a.train.windows, b.train.windows)
         assert np.array_equal(a.test.targets, b.test.targets)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes it allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestMemory:
+    """Peak allocations as multiples of the windows' bytes: the windows
+    are l times the table, so every copy of them counts."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return generate_synthetic(SynthConfig(n_rows=3000, seed=3))
+
+    def test_make_windows_writes_the_windows_once(self, table):
+        ds, peak = traced_peak(make_windows, table, 8)
+        assert ds.m > 0
+        assert peak <= 1.3 * ds.windows.nbytes
+
+    def test_run_preprocess_holds_one_transient_copy(self, table):
+        fcfg = FilterConfig(variance_threshold=0.002, discard_proportion=0.2, seed=11)
+        (split, audit), peak = traced_peak(
+            run_preprocess, table, PreprocessConfig(window_width=8), fcfg)
+        assert audit.filter["discarded"] > 0
+        windows_bytes = audit.windows_total * split.train.l * split.train.n * 8
+        assert peak <= 2.6 * windows_bytes
 
 
 class TestConfigValidation:

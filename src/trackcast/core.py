@@ -1,6 +1,6 @@
 """Shared data types and error metrics.
 
-Tables hold raw rows straight from a CSV; windowed datasets hold the
+Tables hold raw rows straight from a CSV; windowed datasets mark the
 fixed-length slices the forecasters consume.  Both are immutable after
 construction (their arrays are marked read-only).
 """
@@ -10,8 +10,11 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import IllPosedError, InvalidArgumentError
+
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class RawTable:
         remap = {old: new for new, old in enumerate(keep)}
         return RawTable(
             column_names=tuple(self.column_names[i] for i in keep),
-            rows=self.rows[:, keep],
+            rows=np.take(self.rows, keep, axis=1),  # one C-ordered copy
             id_columns=(remap[self.id_columns[0]], remap[self.id_columns[1]]),
             target_column=remap[self.target_column],
         )
@@ -102,60 +105,105 @@ class RawTable:
         return replace(self, rows=rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WindowedDataset:
-    """Fixed-length windows and their one-step-ahead targets.
+    """Fixed-length windows over one shared table, and their one-step-ahead
+    targets.
 
-    ``windows`` has shape (m, l, n): m windows of l consecutive rows over
-    n modeling features.  ``target_feature`` is the position of the
+    ``rows`` is a read-only, C-ordered (T, n) table over n modeling
+    features; window i is the l consecutive rows from ``starts[i]`` on, and
+    ``targets[i]`` its target.  Subsets, splits and resamples index
+    ``starts`` and share ``rows``, so no stage copies the windowed set,
+    which is l times the table; ``windows`` gathers the (m, l, n) array
+    when it is read.  Built from explicit windows, the dataset takes the
+    same form: ``rows`` is ``windows.reshape(m * l, n)`` and ``starts``
+    is ``arange(m) * l``.  ``target_feature`` is the position of the
     forecast target within the feature axis, so forecasters can tell the
     endogenous channel from the exogenous ones.
     """
 
-    windows: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
     targets: np.ndarray
     l: int
     n: int
     target_feature: int = 0
 
-    def __post_init__(self):
-        w = np.asarray(self.windows, dtype=np.float64)
-        t = np.asarray(self.targets, dtype=np.float64)
-        l, n = int(self.l), int(self.n)
+    def __init__(self, windows=None, targets=None, l=None, n=None, target_feature=0, *,
+                 rows=None, starts=None):
+        l, n = int(l), int(n)
         if l < 2:
             raise InvalidArgumentError("window length l must be at least 2")
         if n < 1:
             raise InvalidArgumentError("feature count n must be at least 1")
-        if w.ndim != 3 or w.shape[1:] != (l, n):
-            raise InvalidArgumentError(f"windows must have shape (m, {l}, {n})")
-        if t.ndim != 1 or t.shape[0] != w.shape[0]:
+        if (windows is None) == (rows is None) or (rows is None) != (starts is None):
+            raise InvalidArgumentError("give either windows, or rows and starts")
+        if windows is not None:
+            w = np.asarray(windows, dtype=np.float64)
+            if w.ndim != 3 or w.shape[1:] != (l, n):
+                raise InvalidArgumentError(f"windows must have shape (m, {l}, {n})")
+            rows, starts = w.reshape(-1, n), np.arange(w.shape[0], dtype=np.int64) * l
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        t = np.ascontiguousarray(targets, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise InvalidArgumentError(f"rows must have shape (T, {n})")
+        if starts.ndim != 1 or (starts.size and not (
+                starts.min() >= 0 and starts.max() <= rows.shape[0] - l)):
+            raise InvalidArgumentError(f"starts must index windows of {l} rows")
+        if t.ndim != 1 or t.shape[0] != starts.shape[0]:
             raise InvalidArgumentError("targets must align one-to-one with windows")
-        tf = int(self.target_feature)
+        tf = int(target_feature)
         if not 0 <= tf < n:
             raise InvalidArgumentError("target_feature out of range")
-        w = np.ascontiguousarray(w)
-        t = np.ascontiguousarray(t)
-        w.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "windows", w)
-        object.__setattr__(self, "targets", t)
+        for name, arr in (("rows", rows), ("starts", starts), ("targets", t)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "target_feature", tf)
 
     @property
     def m(self) -> int:
-        return self.windows.shape[0]
+        return self.starts.shape[0]
+
+    @property
+    def windows(self) -> np.ndarray:
+        """The (m, l, n) windows, gathered from ``rows`` on each read into a
+        new read-only, C-ordered array."""
+        w = self.gather()
+        w.setflags(write=False)
+        return w
+
+    def gather(self, indices=slice(None)) -> np.ndarray:
+        """Windows ``indices`` as a new C-ordered (k, l, n) array: the values
+        of ``windows[indices]``, with no other window gathered."""
+        return self._every_window()[self.starts[indices]]
+
+    def row(self, k: int) -> np.ndarray:
+        """Row ``k`` of every window, shape (m, n): the values of
+        ``windows[:, k]``; a negative ``k`` counts from the window's end."""
+        return self.rows[self.starts + k % self.l]
+
+    def feature(self, j: int) -> np.ndarray:
+        """In-window values of feature ``j``, shape (m, l): the values of
+        ``windows[:, :, j]``, C-ordered."""
+        return self._every_window()[self.starts, :, j]
+
+    def _every_window(self) -> np.ndarray:
+        """The window at every row of ``rows``, overlapping: a read-only
+        (T - l + 1, l, n) view.  Indexing it copies each window as one
+        block, twice as fast as indexing ``rows`` row by row."""
+        step, col = self.rows.strides
+        shape = (max(self.rows.shape[0] - self.l + 1, 0), self.l, self.n)
+        return as_strided(self.rows, shape, (step, step, col), writeable=False)
 
     def subset(self, indices) -> "WindowedDataset":
+        """The windows at ``indices``, over the same ``rows``."""
         idx = np.asarray(indices, dtype=np.int64)
-        return WindowedDataset(
-            windows=self.windows[idx],
-            targets=self.targets[idx],
-            l=self.l,
-            n=self.n,
-            target_feature=self.target_feature,
-        )
+        return WindowedDataset(rows=self.rows, starts=self.starts[idx],
+                               targets=self.targets[idx], l=self.l, n=self.n,
+                               target_feature=self.target_feature)
 
 
 @dataclass(frozen=True)
@@ -268,7 +316,12 @@ def evaluate_metrics(y_true, y_pred) -> MetricsPair:
 
 def pearson(x, y) -> float:
     """Pearson correlation coefficient; exactly 0.0 when either input
-    has zero variance (a constant column carries no signal)."""
+    has zero variance (a constant column carries no signal).
+
+    r does not change when x or y is scaled, so when a centred sum
+    overflows, or a sum of squares falls below the normal float range
+    for an input that is not constant, each input is brought to a
+    largest magnitude of 1 (all zeros stay zeros) and summed again."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.ndim != 1 or ya.ndim != 1 or xa.shape[0] != ya.shape[0]:
@@ -280,9 +333,10 @@ def pearson(x, y) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         sx, sy, sxy = _centered_sums(xa, ya)
         overflowed = not np.isfinite([sx, sy, sxy, np.sqrt(sx) * np.sqrt(sy)]).all()
-    if overflowed:
-        # a sum overflowed; r does not change when x or y is scaled, so
-        # bring each to a largest magnitude of 1 (all zeros stay zeros)
+    # squares of deviations below about 1e-154 underflow, so a column
+    # that varies can sum to 0 and read as constant
+    underflowed = any(s < _TINY and (a != a[0]).any() for s, a in ((sx, xa), (sy, ya)))
+    if overflowed or underflowed:
         sx, sy, sxy = _centered_sums(*(a / (np.abs(a).max() or 1.0) for a in (xa, ya)))
     if sx == 0.0 or sy == 0.0:
         return 0.0

@@ -96,7 +96,8 @@ class EnsembleModel:
 
 
 def bootstrap_sample(ds: WindowedDataset, n_prime: int, seed: int) -> WindowedDataset:
-    """Uniform with-replacement resample of n_prime windows."""
+    """Uniform with-replacement resample of n_prime windows; the sample
+    indexes ``ds.rows`` and copies no window."""
     if ds.m == 0:
         raise IllPosedError("cannot bootstrap an empty dataset")
     if int(n_prime) < 1:

@@ -86,7 +86,7 @@ def fit_linear(ds: WindowedDataset) -> LinearModel:
         raise IllPosedError(
             f"{ds.m} windows cannot determine {len(exog)} feature weights"
         )
-    x = ds.windows[:, -1, exog]
+    x = ds.row(-1)[:, exog]
     design = np.hstack([np.ones((ds.m, 1)), x])
     coef, fallback = _solve_normal_equations(design, ds.targets)
     return LinearModel(
@@ -181,15 +181,16 @@ def _window_diff_parts(ds: WindowedDataset, d: int):
     every window."""
     tf = ds.target_feature
     exog = _exog_indices(ds.n, tf)
-    series = np.concatenate(
-        [ds.windows[:, :, tf], ds.targets[:, None]], axis=1
-    )  # (m, l+1)
+    series = np.concatenate([ds.feature(tf), ds.targets[:, None]], axis=1)  # (m, l+1)
     diffed = np.diff(series, n=d, axis=1) if d else series
     z = np.ascontiguousarray(diffed[:, :-1].T)
     zy = diffed[:, -1]
-    xt = ds.windows[:, d:, exog] if exog else np.zeros((ds.m, ds.l - d, 0))
-    x_last = ds.windows[:, -1, exog] if exog else np.zeros((ds.m, 0))
-    return z, zy, xt, x_last
+    # (m, l - d, nex), exogenous-major like a slice of C-ordered windows:
+    # ``xt @ beta`` takes its BLAS path, and its bits, from this layout
+    xt = np.empty((len(exog), ds.m, ds.l - d))
+    for k, j in enumerate(exog):
+        xt[k] = ds.feature(j)[:, d:]
+    return z, zy, xt.transpose(1, 2, 0), ds.row(-1)[:, exog]
 
 
 def _arimax_forward(c, phi, theta, beta, z, xt, x_last):

@@ -638,7 +638,7 @@ def train(cfg: NetworkConfig, train_ds: WindowedDataset, val_ds: WindowedDataset
         for start in range(0, train_ds.m, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             try:
-                loss_and_grads(params, train_ds.windows[idx], train_ds.targets[idx],
+                loss_and_grads(params, train_ds.gather(idx), train_ds.targets[idx],
                                cfg.l2_lambda, out=grads)
             except NumericDivergenceError as exc:
                 raise NumericDivergenceError(str(exc), trace=trace_so_far()) from None

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CorrelationReport, RawTable, SplitSet, WindowedDataset, pearson
 from .errors import IllPosedError, InvalidArgumentError
@@ -206,31 +205,20 @@ def make_windows(table: RawTable, l: int) -> WindowedDataset:
     A contiguous run of R rows yields R - l windows; windows never
     straddle run boundaries (mileage changes or gaps left by removed
     rows).  Window features are every modeling column in table order,
-    past target values included.
+    past target values included.  The dataset holds the feature table
+    once and each window as the row it starts at: no window is copied.
     """
     l = int(l)
     if l < 2:
         raise InvalidArgumentError("window length must be at least 2")
     feat_cols = table.non_id_indices()
-    feats = table.rows[:, feat_cols]
-    target = table.column(table.target_column)
     tf = feat_cols.index(table.target_column)
-    runs = [(start, end) for start, end in _run_bounds(table) if end - start > l]
-    m = sum(end - start - l for start, end in runs)
-    # each window is written once, straight into the C-ordered array the
-    # dataset keeps
-    windows = np.empty((m, l, len(feat_cols)))
-    targets = np.empty(m)
-    pos = 0
-    for start, end in runs:
-        k = end - start - l
-        view = sliding_window_view(feats[start:end], l, axis=0)  # (R-l+1, n, l)
-        windows[pos : pos + k] = np.moveaxis(view[:k], 2, 1)
-        targets[pos : pos + k] = target[start + l : end]
-        pos += k
-    return WindowedDataset(
-        windows=windows, targets=targets, l=l, n=len(feat_cols), target_feature=tf
-    )
+    feats = np.take(table.rows, feat_cols, axis=1)  # one C-ordered copy
+    starts = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        np.arange(start, end - l) for start, end in _run_bounds(table) if end - start > l
+    ])
+    return WindowedDataset(rows=feats, starts=starts, targets=feats[starts + l, tf],
+                           l=l, n=len(feat_cols), target_feature=tf)
 
 
 def shuffle_split(ds: WindowedDataset, fractions, seed: int) -> SplitSet:
@@ -270,7 +258,7 @@ def proportional_filter(
     tf = int(target_feature_index)
     if not 0 <= tf < ds.n:
         raise InvalidArgumentError("target feature index out of range")
-    variances = ds.windows[:, :, tf].var(axis=1)
+    variances = ds.feature(tf).var(axis=1)
     candidates = np.flatnonzero(variances < float(cfg.variance_threshold))
     k = _exact_floor(float(cfg.discard_proportion) * candidates.size)
     if k == 0:
@@ -279,22 +267,6 @@ def proportional_filter(
     keep = np.ones(ds.m, dtype=bool)
     keep[chosen] = False
     return ds.subset(np.flatnonzero(keep)), k
-
-
-def variance_histogram(ds: WindowedDataset, bin_edges) -> np.ndarray:
-    """Counts of per-window past-target variances per bin.
-
-    Values outside the edges are clipped into the boundary bins, so the
-    counts always total m.
-    """
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.shape[0] < 2:
-        raise InvalidArgumentError("need at least two bin edges")
-    if np.any(np.diff(edges) <= 0.0):
-        raise InvalidArgumentError("bin edges must be strictly increasing")
-    variances = ds.windows[:, :, ds.target_feature].var(axis=1)
-    counts, _ = np.histogram(np.clip(variances, edges[0], edges[-1]), bins=edges)
-    return counts
 
 
 @dataclass(frozen=True)
@@ -326,8 +298,8 @@ def run_preprocess(
     The proportional filter, when configured, applies to the train part
     only; test and validation windows stay untouched.
     """
-    # each stage's table and the full windowed set go as soon as the
-    # next stage holds what it needs; the audit keeps names and counts
+    # each stage's table goes as soon as the next stage holds what it
+    # needs; the audit keeps names and counts
     stage, const_dropped = drop_constant_features(table)
     const_names = tuple(table.column_names[i] for i in const_dropped)
 
@@ -345,11 +317,10 @@ def run_preprocess(
     del stage
     windows_total = ds.m
     split = shuffle_split(ds, cfg.split_fractions, cfg.shuffle_seed)
-    del ds
 
     filter_audit = None
     if filter_cfg is not None:
-        variances = split.train.windows[:, :, split.train.target_feature].var(axis=1)
+        variances = split.train.feature(split.train.target_feature).var(axis=1)
         filtered, discarded = proportional_filter(
             split.train, filter_cfg, split.train.target_feature
         )

@@ -119,6 +119,22 @@ class TestWindowedDataset:
         )
         assert ds.m == 0
 
+    def test_rows_and_starts_read_like_the_windows(self):
+        rows = np.random.default_rng(1).normal(size=(9, 3))
+        starts = np.array([4, 0, 5, 4])
+        ds = WindowedDataset(rows=rows, starts=starts, targets=np.zeros(4), l=4, n=3)
+        want = np.stack([rows[s : s + 4] for s in starts])
+        assert np.array_equal(ds.windows, want) and ds.windows.flags.c_contiguous
+        assert np.array_equal(ds.gather(np.array([3, 1])), want[[3, 1]])
+        assert np.array_equal(ds.row(-1), want[:, -1]) and np.array_equal(ds.row(1), want[:, 1])
+        assert np.array_equal(ds.feature(2), want[:, :, 2])
+        assert ds.subset([2, 2]).rows is ds.rows
+
+    @pytest.mark.parametrize("starts", [[-1], [6], [[0]]])
+    def test_starts_must_index_whole_windows(self, starts):
+        with pytest.raises(InvalidArgumentError):
+            WindowedDataset(rows=np.zeros((9, 3)), starts=starts, targets=np.zeros(1), l=4, n=3)
+
     def test_windows_read_only(self):
         ds = self._ds()
         with pytest.raises(ValueError):
@@ -249,26 +265,40 @@ class TestPearson:
         r = pearson(rng.normal(size=n), rng.normal(size=n))
         assert -1.0 <= r <= 1.0
 
+    def test_tiny_deviations_keep_their_correlation(self):
+        """Squares of deviations below about 1e-154 underflow to 0; the
+        column still varies, so it must not read as constant."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson([0.0, 2.46e-239], [0.0, 1.0]) == pytest.approx(1.0)
+            assert pearson([1.0, 2.0, 4.0], [0.0, 5e-324, 1e-323]) == pytest.approx(
+                pearson([1.0, 2.0, 4.0], [0.0, 1.0, 2.0]))
+            assert pearson([1e-160] * 3, [1.0, 2.0, 3.0]) == 0.0
+
     @given(
         st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(0, 1023),
-        st.integers(0, 1023),
+        st.integers(-1074, 1023),
+        st.integers(-1074, 1023),
     )
     @settings(max_examples=300, deadline=None)
     def test_large_finite_values_keep_their_correlation(self, u, seed, ju, jv):
-        """Scaling by a power of two is exact and leaves r alone, so the
-        reference is r of the inputs rescaled to a largest magnitude of 1;
-        2**1023 puts every sum past the float64 range."""
-        u = np.array(u)
-        v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=u.size)
-        for w in (u, v):
-            # well conditioned, and no square of a deviation underflows
-            assume(np.abs(w).max() > 1e-100 and np.ptp(w) > 1e-3 * np.abs(w).max())
-        want = statistics.correlation(u / np.abs(u).max(), v / np.abs(v).max())
+        """r does not change when an input is scaled, so the reference is r
+        of the scaled inputs brought to a largest magnitude of 1.  2**1023
+        puts every sum past the float64 range; below about 2**-511 the
+        squares of the deviations underflow."""
+        scaled = []
+        v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(u))
+        for w, j in ((np.array(u), ju), (v, jv)):
+            w = w * 2.0**j  # exact, unless it lands among the subnormals
+            top = np.abs(w).max()
+            assume(top > 0.0 and np.ptp(w / top) > 1e-3)  # well conditioned
+            scaled.append(w)
+        x, y = scaled
+        want = statistics.correlation(x / np.abs(x).max(), y / np.abs(y).max())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = pearson(u * 2.0**ju, v * 2.0**jv)
+            r = pearson(x, y)
         assert r == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 

@@ -376,7 +376,7 @@ class TestParallelPredict:
 
         def forward(params, x, need_cache):
             seen.append((get_threads(), threading.current_thread() is threading.main_thread()))
-            if fails and np.shares_memory(x, ds.windows[:1]):
+            if fails and np.shares_memory(x, windows[:1]):
                 raise RuntimeError("forward failed")  # the first chunk, at once
             time.sleep(0.05)  # the other chunks are still running by then
             out = real(params, x, need_cache)
@@ -385,15 +385,16 @@ class TestParallelPredict:
 
         monkeypatch.setitem(neural._FORWARD, "gru", forward)
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
+        windows = ds.windows  # gathered once: each chunk is a view of it
         p = init_params(small_cfg("gru"), ds.n, ds.l)
         before = get_threads()
         set_threads(2)  # a restore to 1 would not show in a one-thread session
         try:
             if fails:
                 with pytest.raises(RuntimeError, match="forward failed"):
-                    predict_batch(p, ds.windows)
+                    predict_batch(p, windows)
             else:
-                predict_batch(p, ds.windows)
+                predict_batch(p, windows)
             after = get_threads()
             finished_on_return = sorted(finished)
         finally:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackcast.core import RawTable, WindowedDataset
+from trackcast.ensemble import bootstrap_sample
 from trackcast.errors import IllPosedError, InvalidArgumentError
 from trackcast.ingest import SynthConfig, generate_synthetic
 from trackcast.preprocess import (
@@ -22,7 +23,6 @@ from trackcast.preprocess import (
     run_preprocess,
     select_features,
     shuffle_split,
-    variance_histogram,
 )
 
 
@@ -350,34 +350,6 @@ class TestProportionalFilter:
         assert np.array_equal(a.windows, b.windows)
 
 
-class TestVarianceHistogram:
-    def test_counts_total_m(self):
-        ds = random_ds(m=77, seed=6)
-        counts = variance_histogram(ds, [0.0, 0.01, 0.05, 0.2])
-        assert counts.sum() == 77
-
-    def test_out_of_range_values_clip_into_boundary_bins(self):
-        w = np.zeros((3, 4, 1))
-        w[0, :, 0] = [0, 0, 0, 0]        # var 0, below first edge? clipped in
-        w[1, :, 0] = [0, 1, 0, 1]        # var 0.25
-        w[2, :, 0] = [0, 100, 0, 100]    # var 2500, beyond last edge
-        ds = WindowedDataset(windows=w, targets=np.zeros(3), l=4, n=1)
-        counts = variance_histogram(ds, [0.1, 0.3, 0.5])
-        assert counts.tolist() == [2, 1]
-
-    def test_edges_must_increase(self):
-        ds = random_ds(m=5)
-        with pytest.raises(InvalidArgumentError):
-            variance_histogram(ds, [0.0, 0.0, 1.0])
-
-    @given(st.integers(1, 60), st.integers(0, 2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_totals_property(self, m, seed):
-        ds = random_ds(m=m, seed=seed % 23)
-        counts = variance_histogram(ds, [0.0, 0.001, 0.01, 0.1, 1.0])
-        assert counts.sum() == m
-
-
 class TestRunPreprocess:
     def test_audit_structure(self, small_table):
         split, audit = run_preprocess(small_table, PreprocessConfig(window_width=8))
@@ -443,6 +415,41 @@ class TestMemory:
         assert audit.filter["discarded"] > 0
         windows_bytes = audit.windows_total * split.train.l * split.train.n * 8
         assert peak <= 2.6 * windows_bytes
+
+    def test_run_preprocess_copies_no_windows(self, table):
+        """Every part indexes one shared feature table, so the peak is set
+        by the table stages, below one copy of the windows."""
+        fcfg = FilterConfig(variance_threshold=0.002, discard_proportion=0.2, seed=11)
+        (split, audit), peak = traced_peak(
+            run_preprocess, table, PreprocessConfig(window_width=8), fcfg)
+        assert audit.filter["discarded"] > 0
+        assert all(part.rows is split.train.rows for part in (split.test, split.val))
+        windows_bytes = audit.windows_total * split.train.l * split.train.n * 8
+        assert peak <= 0.8 * windows_bytes
+
+    def test_bootstrap_sample_shares_the_rows(self, table):
+        split, _ = run_preprocess(table, PreprocessConfig(window_width=8))
+        train = split.train
+        sample, peak = traced_peak(bootstrap_sample, train, train.m, 5)
+        assert sample.rows is train.rows
+        assert peak <= 0.1 * train.windows.nbytes
+
+    def test_drop_constant_features_copies_the_kept_columns_once(self):
+        table = generate_synthetic(SynthConfig(n_rows=30000, seed=20))
+        (out, dropped), peak = traced_peak(drop_constant_features, table)
+        assert dropped
+        assert out.rows.flags.c_contiguous
+        assert peak <= 1.2 * out.rows.nbytes
+
+    def test_explicit_windows_come_back_bit_for_bit(self):
+        w = np.random.default_rng(4).normal(size=(6, 4, 3))
+        w[0, 0] = [-0.0, np.inf, np.nan]
+        w[5, 3] = [5e-324, -np.inf, -np.nan]
+        ds = WindowedDataset(windows=w, targets=np.zeros(6), l=4, n=3)
+        assert ds.rows.shape == (24, 3) and ds.starts.tolist() == [0, 4, 8, 12, 16, 20]
+        back = ds.windows
+        assert back.shape == w.shape and back.flags.c_contiguous
+        assert back.tobytes() == w.tobytes()
 
 
 class TestConfigValidation:

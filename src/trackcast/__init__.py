@@ -6,7 +6,6 @@ one-step forecasters, ensembles, and a batch CLI.
 """
 
 from .core import (
-    CorrelationReport,
     MetricsPair,
     RawTable,
     SplitSet,
@@ -29,7 +28,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationReport",
     "MetricsPair",
     "RawTable",
     "SplitSet",

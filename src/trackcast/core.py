@@ -7,7 +7,7 @@ construction (their arrays are marked read-only).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -67,12 +67,6 @@ class RawTable:
     @property
     def n_columns(self) -> int:
         return self.rows.shape[1]
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise InvalidArgumentError(f"no column named {name!r}") from None
 
     def column(self, index: int) -> np.ndarray:
         return self.rows[:, index]
@@ -208,36 +202,18 @@ class WindowedDataset:
 
 @dataclass(frozen=True)
 class SplitSet:
-    """Train/test/validation partition of a windowed dataset.
-
-    ``fractions`` records the split rule that produced the parts.  Part
-    sizes match the fractions at construction by the splitting routine;
-    later train-side filtering may shrink the train part, so sizes are
-    not re-validated here.
-    """
+    """Train/test/validation partition of a windowed dataset; the parts
+    share one window shape.  ``PreprocessConfig`` holds the rule for the
+    split fractions, and ``shuffle_split`` sizes the parts from them;
+    later train-side filtering may shrink the train part."""
 
     train: WindowedDataset
     test: WindowedDataset
     val: WindowedDataset
-    fractions: tuple[float, float, float]
 
     def __post_init__(self):
-        fr = tuple(float(f) for f in self.fractions)
-        if len(fr) != 3:
-            raise InvalidArgumentError("fractions must be (train, test, val)")
-        if any(f < 0.0 or f > 1.0 for f in fr):
-            raise InvalidArgumentError("fractions must lie in [0, 1]")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise InvalidArgumentError("fractions must sum to 1")
-        parts = (self.train, self.test, self.val)
-        dims = {(p.l, p.n) for p in parts}
-        if len(dims) != 1:
+        if len({(p.l, p.n) for p in (self.train, self.test, self.val)}) != 1:
             raise InvalidArgumentError("split parts must share window shape")
-        object.__setattr__(self, "fractions", fr)
-
-    @property
-    def total(self) -> int:
-        return self.train.m + self.test.m + self.val.m
 
 
 @dataclass(frozen=True)
@@ -258,33 +234,6 @@ class MetricsPair:
             raise InvalidArgumentError("mae^2 cannot exceed mse")
         object.__setattr__(self, "mse", mse)
         object.__setattr__(self, "mae", mae)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Correlation of each candidate feature column with the target."""
-
-    per_feature_r: Mapping[int, float]
-    mean_abs_r: float
-    warning: str | None = None
-
-    def __post_init__(self):
-        rs = {int(k): float(v) for k, v in dict(self.per_feature_r).items()}
-        for k, v in rs.items():
-            if not -1.0 <= v <= 1.0:
-                raise InvalidArgumentError(f"correlation for column {k} outside [-1, 1]")
-        mean = float(self.mean_abs_r)
-        expect = sum(abs(v) for v in rs.values()) / len(rs) if rs else 0.0
-        if abs(mean - expect) > 1e-9:
-            raise InvalidArgumentError("mean_abs_r does not match per-feature values")
-        object.__setattr__(self, "per_feature_r", rs)
-        object.__setattr__(self, "mean_abs_r", mean)
-
-    @classmethod
-    def from_correlations(cls, rs: Mapping[int, float], warning: str | None = None):
-        vals = {int(k): float(v) for k, v in rs.items()}
-        mean = sum(abs(v) for v in vals.values()) / len(vals) if vals else 0.0
-        return cls(per_feature_r=vals, mean_abs_r=mean, warning=warning)
 
 
 def evaluate_metrics(y_true, y_pred) -> MetricsPair:

@@ -135,9 +135,8 @@ def train_bagging(
     val_ds: WindowedDataset,
 ) -> EnsembleModel:
     """m independently seeded members on m bootstrap resamples, trained
-    one after another and mean combined."""
-    if int(m) < 1:
-        raise InvalidArgumentError("member count must be positive")
+    one after another and mean combined.  ``EnsembleConfig`` holds the
+    rule that m is positive; ``EnsembleModel`` rejects zero members."""
     results = [_train_bagging_member(cfg, i, ds, val_ds) for i in range(int(m))]
     members = tuple(r[0] for r in results)
     traces = tuple(r[1] for r in results)
@@ -166,14 +165,10 @@ def train_boosting(
     ``residual_scope`` picks which pool the residual rule filters:
     "original" re-scores the full starting train set every round,
     "current" filters the shrinking per-round set.  Stops early when
-    the next set is empty or smaller than one minibatch.
+    the next set is empty or smaller than one minibatch.  ``EnsembleConfig``
+    holds the rules for m, ``threshold`` and ``residual_scope``, and this
+    trusts them; ``EnsembleModel`` still rejects zero members.
     """
-    if int(m) < 1:
-        raise InvalidArgumentError("member count must be positive")
-    if not (float(threshold) > 0.0):
-        raise InvalidArgumentError("threshold must be positive")
-    if residual_scope not in RESIDUAL_SCOPES:
-        raise InvalidArgumentError("residual_scope must be 'original' or 'current'")
     m = int(m)
     threshold = float(threshold)
 

@@ -108,21 +108,6 @@ def predict_linear_batch(model: LinearModel, windows: np.ndarray) -> np.ndarray:
     return x @ model.weights + model.bias
 
 
-def difference(series, d: int) -> np.ndarray:
-    """Apply the first-difference operator ``d`` times."""
-    s = np.asarray(series, dtype=np.float64)
-    if s.ndim != 1:
-        raise InvalidArgumentError("series must be 1-d")
-    d = int(d)
-    if d < 0:
-        raise InvalidArgumentError("differencing degree must be non-negative")
-    if s.shape[0] <= d:
-        raise InvalidArgumentError(
-            f"series of length {s.shape[0]} cannot be differenced {d} times"
-        )
-    return np.diff(s, n=d) if d else s.copy()
-
-
 def undifference(last_values, forecast: float, d: int) -> float:
     """Integrate a degree-``d`` differenced forecast back to the original
     scale, given the last ``d`` original-scale values."""

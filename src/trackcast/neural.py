@@ -62,9 +62,9 @@ class NetworkConfig:
                      "max_epochs", "patience"):
             if int(getattr(self, name)) < 1:
                 raise InvalidArgumentError(f"{name} must be positive")
-        if float(self.learning_rate) <= 0.0:
+        if not float(self.learning_rate) > 0.0:
             raise InvalidArgumentError("learning_rate must be positive")
-        if float(self.l2_lambda) < 0.0:
+        if not float(self.l2_lambda) >= 0.0:
             raise InvalidArgumentError("l2_lambda must be non-negative")
 
 

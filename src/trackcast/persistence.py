@@ -265,11 +265,6 @@ class RunReport:
     sweep: list | None = None
     errors: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name in self.models:
-            if not isinstance(name, str):
-                raise InvalidArgumentError("model names must be strings")
-
     def as_dict(self) -> dict:
         doc = {
             "schema_version": 1,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CorrelationReport, RawTable, SplitSet, WindowedDataset, pearson
+from .core import _TINY, RawTable, SplitSet, WindowedDataset, pearson
 from .errors import IllPosedError, InvalidArgumentError
 from .ingest import METERS_STEP
 
@@ -28,7 +28,8 @@ def _exact_floor(x: float) -> int:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Pipeline settings; scaling is always to [0, 1]."""
+    """Pipeline settings; scaling is always to [0, 1].  The rules for the
+    values live here (NaN fails each), and the stage functions trust them."""
 
     zscore_threshold: float = 4.0
     correlation_threshold: float | None = None  # None: drop |r| below the mean |r|
@@ -37,14 +38,14 @@ class PreprocessConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if float(self.zscore_threshold) <= 0.0:
+        if not float(self.zscore_threshold) > 0.0:
             raise InvalidArgumentError("zscore_threshold must be positive")
-        if self.correlation_threshold is not None and float(self.correlation_threshold) < 0.0:
+        if self.correlation_threshold is not None and not float(self.correlation_threshold) >= 0.0:
             raise InvalidArgumentError("correlation_threshold must be non-negative")
         if int(self.window_width) < 2:
             raise InvalidArgumentError("window_width must be at least 2")
         fr = tuple(float(f) for f in self.split_fractions)
-        if len(fr) != 3 or any(f < 0.0 or f > 1.0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+        if len(fr) != 3 or not all(0.0 <= f <= 1.0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
             raise InvalidArgumentError("split_fractions must be three shares summing to 1")
         object.__setattr__(self, "split_fractions", fr)
 
@@ -105,22 +106,27 @@ def drop_constant_features(table: RawTable) -> tuple[RawTable, list[int]]:
 
 
 def remove_outliers_zscore(table: RawTable, threshold: float) -> tuple[RawTable, np.ndarray]:
-    """Drop rows whose target z-score magnitude exceeds ``threshold``.
+    """Drop rows whose target z-score magnitude exceeds ``threshold``,
+    which ``PreprocessConfig`` keeps positive.
 
     Mean and standard deviation come from the table once (single pass,
     no re-iteration), with the sample convention (ddof=1) for sigma.
-    A zero-variance target leaves the table unchanged.
+    A zero-variance target leaves the table unchanged.  z does not change
+    with the target's scale, so where a sum overflows, or a varying
+    target's squared deviations underflow, it is first scaled to a
+    largest magnitude of 1.
     """
-    if float(threshold) <= 0.0:
-        raise InvalidArgumentError("z-score threshold must be positive")
     if table.n_rows < 2:
         raise IllPosedError("outlier removal needs at least two rows")
     target = table.column(table.target_column)
-    mu = float(target.mean())
-    sigma = float(target.std(ddof=1))
-    if sigma == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, var = float(target.mean()), float(target.var(ddof=1))
+    if not np.isfinite(var) or var < _TINY and (target != target[0]).any():
+        target = target / np.abs(target).max()
+        mu, var = float(target.mean()), float(target.var(ddof=1))
+    if var == 0.0:
         return table, np.empty(0, dtype=np.int64)
-    z = (target - mu) / sigma
+    z = (target - mu) / math.sqrt(var)
     removed = np.flatnonzero(np.abs(z) > float(threshold))
     if removed.size == 0:
         return table, removed
@@ -128,16 +134,16 @@ def remove_outliers_zscore(table: RawTable, threshold: float) -> tuple[RawTable,
     return table.with_rows(table.rows[keep]), removed
 
 
-def select_features(
-    table: RawTable, threshold: float | None = None
-) -> tuple[RawTable, CorrelationReport]:
+def select_features(table: RawTable, threshold: float | None = None) -> tuple[RawTable, dict]:
     """Keep feature columns that correlate with the target strongly enough.
 
     With no explicit threshold, columns whose |r| falls strictly below
     the mean |r| over all candidates are dropped; ties survive.  The
     identifier and target columns always survive.  A constant target
     makes every correlation zero, in which case everything is kept and
-    the report carries a warning.
+    a warning is set.  ``PreprocessConfig`` holds the threshold's rule.
+    Returns the new table and the audit's ``correlation`` record, with
+    ``per_feature_r`` keyed by column index.
     """
     candidates = table.feature_indices()
     target = table.column(table.target_column)
@@ -146,12 +152,11 @@ def select_features(
     target_constant = table.n_rows > 0 and bool(np.all(target == target[0]))
     if target_constant and candidates:
         warning = "target column is constant; correlations are all zero"
-    report = CorrelationReport.from_correlations(rs, warning=warning)
-    cut = report.mean_abs_r if threshold is None else float(threshold)
+    mean = sum(abs(r) for r in rs.values()) / len(rs) if rs else 0.0
+    record = {"per_feature_r": rs, "mean_abs_r": mean, "warning": warning}
+    cut = mean if threshold is None else float(threshold)
     dropped = [idx for idx in candidates if abs(rs[idx]) < cut]
-    if not dropped:
-        return table, report
-    return table.without_columns(dropped), report
+    return (table.without_columns(dropped) if dropped else table), record
 
 
 def fit_scaler(table: RawTable) -> ScalingParams:
@@ -169,15 +174,18 @@ def apply_scaler(table: RawTable, params: ScalingParams) -> RawTable:
 
     Applied to its own fit table every value lands in [0, 1]; unseen
     data may fall outside, which is allowed.  A constant column
-    (max == min) maps to 0.
+    (max == min) maps to 0.  Where max - min overflows, every term is
+    halved first, which is exact there.
     """
     rows = np.array(table.rows)
     for col, lo, hi in zip(params.columns, params.mins, params.maxs):
         if not 0 <= col < table.n_columns:
             raise InvalidArgumentError(f"scaler column {col} not present in table")
-        span = hi - lo
+        span = float(hi) - float(lo)  # inf, not a warning, on overflow
         if span == 0.0:
             rows[:, col] = 0.0
+        elif math.isinf(span):
+            rows[:, col] = (rows[:, col] / 2 - lo / 2) / (hi / 2 - lo / 2)
         else:
             rows[:, col] = (rows[:, col] - lo) / span
     return table.with_rows(rows)
@@ -191,9 +199,8 @@ def _run_bounds(table: RawTable) -> list[tuple[int, int]]:
         return []
     mil = table.column(table.id_columns[0])
     met = table.column(table.id_columns[1])
-    breaks = np.flatnonzero(
-        (mil[1:] != mil[:-1]) | (met[1:] - met[:-1] != METERS_STEP)
-    )
+    with np.errstate(over="ignore"):  # an overflowing step is no 0.25 m step
+        breaks = np.flatnonzero((mil[1:] != mil[:-1]) | (met[1:] - met[:-1] != METERS_STEP))
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks + 1, [m]))
     return list(zip(starts.tolist(), ends.tolist()))
@@ -207,10 +214,9 @@ def make_windows(table: RawTable, l: int) -> WindowedDataset:
     rows).  Window features are every modeling column in table order,
     past target values included.  The dataset holds the feature table
     once and each window as the row it starts at: no window is copied.
+    ``PreprocessConfig`` and ``WindowedDataset`` hold the rule l >= 2.
     """
     l = int(l)
-    if l < 2:
-        raise InvalidArgumentError("window length must be at least 2")
     feat_cols = table.non_id_indices()
     tf = feat_cols.index(table.target_column)
     feats = np.take(table.rows, feat_cols, axis=1)  # one C-ordered copy
@@ -224,23 +230,21 @@ def make_windows(table: RawTable, l: int) -> WindowedDataset:
 def shuffle_split(ds: WindowedDataset, fractions, seed: int) -> SplitSet:
     """Shuffle deterministically, then slice train/test/val.
 
-    Train and test sizes round down; validation takes the remainder.
-    Fewer than 3 windows is a fault of the data: IllPosedError.
+    ``fractions`` are (train, test, val) shares; ``PreprocessConfig``
+    holds the rule that they lie in [0, 1] and sum to 1.  Train and test
+    sizes round down; validation takes the remainder.  Fewer than 3
+    windows is a fault of the data: IllPosedError.
     """
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or any(f < 0.0 or f > 1.0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-        raise InvalidArgumentError("fractions must be three shares summing to 1")
     m = ds.m
     if m < 3:
         raise IllPosedError(f"need at least 3 windows to split, got {m}")
     perm = np.random.default_rng(int(seed)).permutation(m)
-    n_train = _exact_floor(fr[0] * m)
-    n_test = _exact_floor(fr[1] * m)
+    n_train = _exact_floor(float(fractions[0]) * m)
+    n_test = _exact_floor(float(fractions[1]) * m)
     return SplitSet(
         train=ds.subset(perm[:n_train]),
         test=ds.subset(perm[n_train : n_train + n_test]),
         val=ds.subset(perm[n_train + n_test :]),
-        fractions=fr,
     )
 
 
@@ -307,7 +311,7 @@ def run_preprocess(
     candidate_names = stage.column_names
     candidates = [candidate_names[idx] for idx in stage.feature_indices()]
 
-    stage, corr_report = select_features(stage, cfg.correlation_threshold)
+    stage, correlation = select_features(stage, cfg.correlation_threshold)
     kept_names = stage.column_names
 
     scaler = fit_scaler(stage)
@@ -336,13 +340,9 @@ def run_preprocess(
         dropped_constant_columns=const_names,
         outlier_rows_removed=int(removed_rows.size),
         sigma_convention="sample",
-        correlation={
-            "per_feature_r": {
-                candidate_names[idx]: r for idx, r in corr_report.per_feature_r.items()
-            },
-            "mean_abs_r": corr_report.mean_abs_r,
-            "warning": corr_report.warning,
-        },
+        correlation=dict(correlation, per_feature_r={
+            candidate_names[idx]: r for idx, r in correlation["per_feature_r"].items()
+        }),
         selected_features=tuple(name for name in candidates if name in kept_names),
         dropped_features=tuple(name for name in candidates if name not in kept_names),
         scaler={

@@ -1,10 +1,17 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackcast import cli
 from trackcast import linear as lin
@@ -178,6 +185,23 @@ class TestConfigValidatedBeforeData:
         assert code == EXIT_CONFIG
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section, body, extra", [
+        ("preprocess", {"zscore_threshold": 0}, ()),
+        ("preprocess", {"split_fractions": [0.5, 0.3, 0.3]}, ()),
+        ("preprocess", {"window_width": 1}, ()),
+        ("ensemble", {"members": 0}, ()),
+        ("ensemble", {"boost_threshold": 0}, ("--models", "cnn", "--ensemble", "boosting")),
+    ], ids=["zscore_threshold", "split_fractions", "window_width", "members",
+            "boost_threshold"])
+    def test_rule_held_by_a_config(self, cli_workspace, tmp_path, capsys, section, body, extra):
+        """The config dataclass is the one place each of these rules is
+        checked; the stage functions trust the values it passes them."""
+        code, out_dir = self._run(cli_workspace, tmp_path, section, body, *extra)
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
     def test_sweep_validates_swept_model(self, cli_workspace, tmp_path):
         cfg = json.loads(json.dumps(cli_workspace["config_dict"]))
         cfg["model"].update(models=["arima"], arima_order=[2, "x", 0])
@@ -258,6 +282,162 @@ class TestDataFileFaults:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
+    @staticmethod
+    def _run_lr(cli_workspace, tmp_path, name, lines):
+        """Run ``lr`` on the CSV ``lines`` in-process: exit code, stderr,
+        report (None without one) and the RuntimeWarnings raised."""
+        data, out_dir = tmp_path / f"{name}.csv", tmp_path / name
+        data.write_text("".join(lines), encoding="utf-8")
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(["run", "--config", cli_workspace["config"], "--data", str(data),
+                         "--out-dir", str(out_dir), "--models", "lr"])
+        report = read_report(out_dir) if (out_dir / "report.json").exists() else None
+        return code, err.getvalue(), report, [str(w.message) for w in caught
+                                              if issubclass(w.category, RuntimeWarning)]
+
+    @staticmethod
+    def _with_column(lines, name, values):
+        """``lines`` with column ``name`` of every data row replaced."""
+        rows = [line.rstrip("\n").split(",") for line in lines]
+        j = rows[0].index(name)
+        for row, value in zip(rows[1:], values):
+            row[j] = repr(float(value))
+        return [",".join(row) + "\n" for row in rows]
+
+    @staticmethod
+    def _column(lines, name):
+        j = lines[0].rstrip("\n").split(",").index(name)
+        return [float(line.rstrip("\n").split(",")[j]) for line in lines[1:]]
+
+    def test_target_scaled_to_the_float_limit_runs_as_unscaled(
+            self, cli_workspace, synth_lines, tmp_path):
+        """z and the min-max scaled values do not change when the target
+        is scaled by a power of two, so neither do the fit and its
+        metrics.  Here the target's sums overflow, and its max - min too."""
+        left = self._column(synth_lines, "left_height")
+        factor = 2.0 ** (1024 - math.frexp(max(map(abs, left)))[1])
+        huge = self._with_column(synth_lines, "left_height", [v * factor for v in left])
+        plain = self._run_lr(cli_workspace, tmp_path, "plain", synth_lines)
+        code, err, report, caught = self._run_lr(cli_workspace, tmp_path, "huge", huge)
+        assert (code, err, caught) == (EXIT_OK, "", [])
+        assert report["models"] == plain[2]["models"]
+        for key in ("outlier_rows_removed", "selected_features", "split_sizes"):
+            assert report["audit"][key] == plain[2]["audit"][key]
+
+    def test_huge_target_cell_is_an_outlier(self, cli_workspace, synth_lines, tmp_path):
+        """Its squared deviation overflows; the target is rescaled and the
+        cell's z (about 24) is the one past the threshold."""
+        left = self._column(synth_lines, "left_height")
+        left[300] = 1e308
+        huge = self._with_column(synth_lines, "left_height", left)
+        code, err, report, caught = self._run_lr(cli_workspace, tmp_path, "huge", huge)
+        assert (code, err, caught) == (EXIT_OK, "", [])
+        assert report["audit"]["outlier_rows_removed"] == 1
+
+    def test_feature_spanning_the_float_range_runs_as_unscaled(
+            self, cli_workspace, synth_lines, tmp_path):
+        """A feature whose max - min overflows scales to the same [0, 1]
+        values as the feature divided by a power of two."""
+        clean = self._run_lr(cli_workspace, tmp_path, "clean", synth_lines)[2]
+        lo, hi = clean["audit"]["scaler"]["left_height"]  # the rows outlier removal keeps
+        # the target mapped onto [-1, 1] on the kept rows; 0 on the others
+        unit = [(v - (hi + lo) / 2) / ((hi - lo) / 2) if lo <= v <= hi else 0.0
+                for v in self._column(synth_lines, "left_height")]
+        plain = self._run_lr(cli_workspace, tmp_path, "plain",
+                             self._with_column(synth_lines, "f20", unit))[2]
+        code, err, report, caught = self._run_lr(
+            cli_workspace, tmp_path, "huge",
+            self._with_column(synth_lines, "f20", [v * 2.0**1023 for v in unit]))
+        assert (code, err, caught) == (EXIT_OK, "", [])
+        lo, hi = report["audit"]["scaler"]["f20"]
+        assert hi - lo == math.inf
+        assert report["models"] == plain["models"]
+
+    def test_meters_step_past_the_float_range_breaks_the_run(
+            self, cli_workspace, synth_lines, tmp_path):
+        meters = self._column(synth_lines, "meters")
+        meters[300:302] = [1.7e308, -1.7e308]
+        lines = self._with_column(synth_lines, "meters", meters)
+        code, err, report, caught = self._run_lr(cli_workspace, tmp_path, "jump", lines)
+        assert (code, err, caught) == (EXIT_OK, "", [])
+        assert report["audit"]["windows_total"] < 600 - 8
+
+
+@functools.lru_cache(maxsize=1)
+def _synth_cells():
+    """The cells of a 600-row synth CSV, header first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "synth.csv")
+        write_csv(generate_synthetic(SynthConfig(n_rows=600, seed=3)), path)
+        with open(path, encoding="utf-8") as fh:
+            return tuple(tuple(line.rstrip("\n").split(",")) for line in fh)
+
+
+_ODD_CELLS = ["", " ", "nan", "-inf", "1e309", "abc", "1_0", "0x10", "\u0661", '"', '"1"',
+              "1e", ".", "+", "1;2", "\t2"]
+
+
+@st.composite
+def malformed_csv(draw):
+    """A 200-600-row synth CSV with 1 to 4 faults: header names, cells,
+    row lengths, line endings and value magnitudes."""
+    n_rows = draw(st.integers(200, 600))
+    lines = [list(c) for c in _synth_cells()[:n_rows + 1]]
+    ends = ["\n"] * len(lines)
+    width = len(lines[0])
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["header", "cell", "scale_cell", "scale_column",
+                                     "row_length", "drop_row", "blank_line", "line_end"]))
+        row = draw(st.integers(1, len(lines) - 1))
+        col = draw(st.integers(0, width - 1))
+        if kind == "header":
+            lines[0][col] = draw(st.sampled_from(lines[0]) | st.text(" ,\"ab_", max_size=4))
+        elif kind == "cell":
+            lines[row][col:col + 1] = [draw(st.sampled_from(_ODD_CELLS) | st.text(max_size=4))]
+        elif kind in ("scale_cell", "scale_column"):
+            factor = 2.0 ** draw(st.integers(-1100, 1023))  # to 0 below -1074
+            for cells in lines[1:] if kind == "scale_column" else [lines[row]]:
+                with contextlib.suppress(ValueError, IndexError):
+                    cells[col] = repr(float(cells[col]) * factor)
+        elif kind == "row_length":
+            lines[row] = lines[row][:-1] if draw(st.booleans()) else lines[row] + ["0"]
+        elif kind == "drop_row":
+            del lines[row], ends[row]
+        elif kind == "blank_line":
+            lines.insert(row, [])
+            ends.insert(row, "\n")
+        else:
+            style = draw(st.sampled_from(["\r\n", "\r"]))
+            ends = [style] * len(ends) if draw(st.booleans()) else ends
+            ends[row] = style
+    return "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+
+
+class TestMalformedDataProperty:
+    """A fault in the data file is a data error: exit 3 with one stderr
+    line, never a configuration error or a traceback."""
+
+    @given(text=malformed_csv())
+    @settings(max_examples=40, deadline=None)
+    def test_data_faults_exit_0_or_3(self, cli_workspace, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.csv")
+            with open(data, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+                warnings.simplefilter("always")
+                code = main(["run", "--config", cli_workspace["config"], "--data", data,
+                             "--out-dir", os.path.join(tmp, "out"), "--models", "lr"])
+        assert code in (EXIT_OK, EXIT_IO), err.getvalue()
+        lines = err.getvalue().splitlines()
+        assert len(lines) == (0 if code == EXIT_OK else 1), lines
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestSynth:

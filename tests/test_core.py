@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trackcast.core import (
-    CorrelationReport,
     MetricsPair,
     RawTable,
     SplitSet,
@@ -32,7 +31,6 @@ class TestRawTable:
         t = _table([[100, 0.0, 1.0, 2.0], [100, 0.25, 3.0, 4.0]])
         assert t.n_rows == 2
         assert t.n_columns == 4
-        assert t.column_index("b") == 3
 
     def test_rows_are_read_only(self):
         t = _table([[100, 0.0, 1.0, 2.0]])
@@ -56,11 +54,6 @@ class TestRawTable:
         assert out.column_names == ("mileage", "meters", "b", "c")
         assert out.column_names[out.target_column] == "c"
         assert np.array_equal(out.rows, [[100, 0.0, 2.0, 3.0]])
-
-    def test_unknown_column_name(self):
-        t = _table([[100, 0.0, 1.0, 2.0]])
-        with pytest.raises(InvalidArgumentError):
-            t.column_index("nope")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -142,16 +135,11 @@ class TestWindowedDataset:
 
 
 class TestSplitSet:
-    def test_fraction_validation(self):
-        ds = WindowedDataset(np.zeros((2, 3, 2)), np.zeros(2), 3, 2)
-        with pytest.raises(InvalidArgumentError):
-            SplitSet(train=ds, test=ds, val=ds, fractions=(0.5, 0.2, 0.2))
-
     def test_mismatched_window_shapes_rejected(self):
         a = WindowedDataset(np.zeros((2, 3, 2)), np.zeros(2), 3, 2)
         b = WindowedDataset(np.zeros((2, 4, 2)), np.zeros(2), 4, 2)
         with pytest.raises(InvalidArgumentError):
-            SplitSet(train=a, test=b, val=a, fractions=(0.85, 0.10, 0.05))
+            SplitSet(train=a, test=b, val=a)
 
 
 class TestMetrics:
@@ -301,16 +289,3 @@ class TestPearson:
             r = pearson(x, y)
         assert r == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-
-class TestCorrelationReport:
-    def test_mean_abs_cross_check(self):
-        rep = CorrelationReport.from_correlations({2: 0.5, 3: -0.25})
-        assert rep.mean_abs_r == pytest.approx(0.375)
-
-    def test_inconsistent_mean_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            CorrelationReport(per_feature_r={2: 0.5}, mean_abs_r=0.9)
-
-    def test_out_of_range_r_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            CorrelationReport.from_correlations({2: 1.5})

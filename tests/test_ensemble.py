@@ -234,10 +234,6 @@ class TestBoosting:
     def test_scope_and_threshold_validated(self):
         tr, va = make_ds(), make_ds(m=8, seed=9)
         with pytest.raises(InvalidArgumentError):
-            train_boosting(fast_cfg(), 2, 0.0, tr, va)
-        with pytest.raises(InvalidArgumentError):
-            train_boosting(fast_cfg(), 2, 0.5, tr, va, residual_scope="global")
-        with pytest.raises(InvalidArgumentError):
             train_boosting(fast_cfg(), 0, 0.5, tr, va)
 
     def test_round_seeds_are_derived(self, monkeypatch):

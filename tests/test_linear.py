@@ -15,7 +15,6 @@ from trackcast.linear import (
     _css_parts,
     _residual_jacobian,
     _window_diff_parts,
-    difference,
     fit_arimax,
     fit_linear,
     predict_arimax_batch,
@@ -99,21 +98,6 @@ class TestFitLinear:
 
 
 class TestDifferencing:
-    def test_first_difference(self):
-        assert np.array_equal(difference([1.0, 3.0, 6.0, 10.0], 1), [2.0, 3.0, 4.0])
-
-    def test_second_difference(self):
-        assert np.array_equal(difference([1.0, 3.0, 6.0, 10.0], 2), [1.0, 1.0])
-
-    def test_zero_degree_is_copy(self):
-        s = [1.0, 2.0]
-        out = difference(s, 0)
-        assert np.array_equal(out, s)
-
-    def test_too_short(self):
-        with pytest.raises(InvalidArgumentError):
-            difference([1.0, 2.0], 2)
-
     def test_undifference_d1(self):
         # last level 6, differenced forecast 4 -> next level 10
         assert undifference([6.0], 4.0, 1) == 10.0
@@ -134,7 +118,7 @@ class TestDifferencing:
     @settings(max_examples=150, deadline=None)
     def test_difference_undifference_identity(self, values, d):
         x = np.asarray(values, dtype=np.float64)
-        z = difference(x, d)
+        z = np.diff(x, n=d)
         rebuilt = undifference(x[:-1][len(x) - 1 - d :], float(z[-1]), d)
         assert rebuilt == pytest.approx(float(x[-1]), abs=1e-9)
 

@@ -540,10 +540,6 @@ class TestRunReport:
         assert a.pop("timings") != b.pop("timings")
         assert a == b
 
-    def test_model_names_must_be_strings(self):
-        with pytest.raises(InvalidArgumentError):
-            RunReport(config={}, audit={}, models={1: {}})
-
     def test_write_report_sorted_and_stable(self, tmp_path):
         path = tmp_path / "report.json"
         write_report(self.base_report({"total_s": 0.5}), path)

@@ -116,7 +116,7 @@ def _check_config(cfg) -> dict:
 
 
 def load_config(path) -> dict:
-    """Parse the JSON config file and check it against the schema.
+    """Parse the UTF-8 JSON config file and check it against the schema.
     ``NaN`` and ``Infinity``, which Python's json accepts, are not JSON."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
@@ -129,6 +129,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not valid UTF-8") from None
     return _check_config(cfg)
 
 
@@ -252,7 +254,7 @@ def _train_ensemble(net_cfg, split: SplitSet, ens_cfg: ens.EnsembleConfig):
     cols = {part: ens.member_predictions(model.members, ds.windows)
             for part, ds in _parts(split) if ds.m}
     if ens_cfg.stack:
-        model = replace(model, combiner=ens.fit_stacker(model.members, split.val, cols["val"]))
+        model = replace(model, combiner=ens.fit_stacker(cols["val"], split.val.targets))
     preds = {part: ens.ensemble_predict_batch(model, ds.windows, cols[part])
              for part, ds in _parts(split) if part in cols}
     summary = {

@@ -217,14 +217,19 @@ def member_predictions(members, windows: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _stacker_from_predictions(preds: np.ndarray, targets: np.ndarray) -> Combiner:
-    """Least-squares combiner over member prediction columns.
+def fit_stacker(preds: np.ndarray, targets: np.ndarray) -> Combiner:
+    """Least-squares combiner over member prediction columns on
+    validation data: ``preds`` is
+    ``member_predictions(members, val_ds.windows)`` and ``targets`` is
+    ``val_ds.targets``.
 
     A numerically singular prediction matrix (e.g. identical members)
     falls back to the mean; a merely rank-deficient regression (columns
     independent but collinear with the intercept) takes the minimum-norm
     solution.
     """
+    if 0 in np.shape(preds):
+        raise InvalidArgumentError("stacker needs at least one member and one validation window")
     gram = preds.T @ preds
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -236,22 +241,6 @@ def _stacker_from_predictions(preds: np.ndarray, targets: np.ndarray) -> Combine
         weights=tuple(float(w) for w in coef[1:]),
         bias=float(coef[0]),
     )
-
-
-def fit_stacker(members, val_ds: WindowedDataset, val_preds=None) -> Combiner:
-    """Fit the linear stacking combiner on validation data.
-
-    ``val_preds``, when given, must be
-    ``member_predictions(members, val_ds.windows)``; passing columns
-    already computed saves a second prediction pass.
-    """
-    if len(members) < 1:
-        raise InvalidArgumentError("stacker needs at least one member")
-    if val_ds.m == 0:
-        raise InvalidArgumentError("stacker needs a non-empty validation set")
-    if val_preds is None:
-        val_preds = member_predictions(members, val_ds.windows)
-    return _stacker_from_predictions(val_preds, np.asarray(val_ds.targets, dtype=np.float64))
 
 
 def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray,

@@ -56,9 +56,6 @@ _BURST_AMP_HI = 0.30
 _OUTLIER_Z_LO = 9.0
 _OUTLIER_Z_SPAN = 3.0
 
-_SCAN_BYTES = 1 << 20
-
-
 @dataclass(frozen=True)
 class CsvSchema:
     """Column names the reader must resolve in a data file header."""
@@ -115,11 +112,11 @@ def read_csv(path, schema: CsvSchema = CsvSchema()) -> RawTable:
     1-based; the header row does not count.
 
     The body is parsed in bulk by ``np.loadtxt``.  Its result is used
-    only when it provably equals the cell-by-cell parse: the file holds
-    no '"' and no line as long as csv's field limit, ``loadtxt`` kept
-    every data line (it skips blank ones) at the header's width, and
-    every value is finite.  Any other file goes through the
-    cell-by-cell parse, which raises the positioned errors.
+    only when it provably equals the cell-by-cell parse: a text-mode
+    loop over the lines finds UTF-8, no '"' and no line as long as csv's
+    field limit, ``loadtxt`` kept every data line (it skips blank ones)
+    at the header's width, and every value is finite.  Any other file
+    goes through the cell-by-cell parse, which raises the positioned errors.
     """
     with _typed_read_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
         header = _read_header(csv.reader(fh), path, schema)
@@ -172,37 +169,22 @@ def _read_header(reader, path, schema: CsvSchema) -> list[str]:
 
 
 def _plain_data_line_count(path) -> int | None:
-    """Data lines (after the header) as csv.reader splits them: "\\n",
-    "\\r" and "\\r\\n" each end one.  None when the file holds a '"' or a
-    line as long as csv's field limit, where csv.reader and
-    ``np.loadtxt`` may disagree."""
+    """Data lines (after the header), counted in text mode, whose
+    universal newlines end a line at "\\n", "\\r" and "\\r\\n" as
+    csv.reader does.  None when a line holds a '"' or is as long as
+    csv's field limit, or the bytes are not UTF-8: there csv.reader and
+    ``np.loadtxt`` may disagree, or the per-cell parse raises."""
     limit = csv.field_size_limit()
-    ends = 0
-    run = 0
-    last = b""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_BYTES):
-            if b'"' in chunk:
-                return None
-            buf = np.frombuffer(chunk, dtype=np.uint8)
-            is_end = buf == ord("\n")
-            if b"\r" in chunk:
-                is_end |= buf == ord("\r")
-                ends -= chunk.count(b"\r\n")  # "\r\n" ends one line, not two
-            if last == b"\r" and chunk[:1] == b"\n":
-                ends -= 1  # a "\r\n" split across two chunks
-            pos = np.flatnonzero(is_end)
-            ends += pos.size
-            # line lengths in bytes, the first one carried over from the
-            # last chunk and the last one possibly unfinished
-            lengths = np.diff(pos, prepend=-1 - run, append=buf.size) - 1
-            if lengths.max() >= limit:
-                return None
-            run = int(lengths[-1])
-            last = chunk[-1:]
-    if last not in (b"", b"\n", b"\r"):
-        ends += 1  # unterminated last line
-    return ends - 1
+    lines = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                if '"' in line or len(line) >= limit:
+                    return None
+                lines += 1
+    except UnicodeDecodeError:
+        return None
+    return lines - 1
 
 
 def _read_csv_per_cell(path, schema: CsvSchema) -> RawTable:

@@ -66,6 +66,8 @@ class NetworkConfig:
             raise InvalidArgumentError("learning_rate must be positive")
         if not float(self.l2_lambda) >= 0.0:
             raise InvalidArgumentError("l2_lambda must be non-negative")
+        if int(self.seed) < 0:
+            raise InvalidArgumentError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,6 @@ class NetworkParams:
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of any vector laid out like ``self.vector``."""
         return {k: vector[a:b].reshape(shape) for k, (shape, _, a, b) in self._layout.items()}
-
-    def parameter_count(self) -> int:
-        return self.vector.size
 
 
 def regularized_tensor_names(arch: str) -> tuple[str, ...]:

@@ -47,6 +47,8 @@ class PreprocessConfig:
         fr = tuple(float(f) for f in self.split_fractions)
         if len(fr) != 3 or not all(0.0 <= f <= 1.0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
             raise InvalidArgumentError("split_fractions must be three shares summing to 1")
+        if int(self.shuffle_seed) < 0:
+            raise InvalidArgumentError("shuffle_seed must be non-negative")
         object.__setattr__(self, "split_fractions", fr)
 
 
@@ -64,29 +66,19 @@ class FilterConfig:
         p = float(self.discard_proportion)
         if not 0.0 <= p <= 1.0:
             raise InvalidArgumentError("discard_proportion must lie in [0, 1]")
+        if int(self.seed) < 0:
+            raise InvalidArgumentError("filter seed must be non-negative")
 
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Per-column (min, max) observed on the fit table."""
+    """Per-column (min, max) observed on the fit table.  ``fit_scaler``
+    builds it, so it holds aligned columns with max >= min and checks
+    nothing again; ``apply_scaler`` checks each column is in its table."""
 
     columns: tuple[int, ...]
     mins: np.ndarray
     maxs: np.ndarray
-
-    def __post_init__(self):
-        cols = tuple(int(c) for c in self.columns)
-        mins = np.asarray(self.mins, dtype=np.float64)
-        maxs = np.asarray(self.maxs, dtype=np.float64)
-        if mins.shape != (len(cols),) or maxs.shape != (len(cols),):
-            raise InvalidArgumentError("mins/maxs must align with columns")
-        if np.any(maxs < mins):
-            raise InvalidArgumentError("max below min in scaling parameters")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
 
 
 def drop_constant_features(table: RawTable) -> tuple[RawTable, list[int]]:

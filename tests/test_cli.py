@@ -69,6 +69,22 @@ class TestConfigErrors:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["synth", "run", "filter-sweep"])
+    def test_config_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"synth": {"n_rows": 100}}\xff')
+        out = tmp_path / "out"
+        args = {
+            "synth": ["--out", str(out)],
+            "run": ["--data", "x.csv", "--out-dir", str(out)],
+            "filter-sweep": ["--data", "x.csv", "--proportions", "0.2", "--out", str(out)],
+        }[command]
+        code = main([command, "--config", str(path), *args])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: config file {path} is not valid UTF-8"]
+
     def test_unknown_section(self, tmp_path):
         path = write_config(tmp_path, {"modelz": {}})
         code = main(["run", "--config", path, "--data", "x.csv",
@@ -191,8 +207,11 @@ class TestConfigValidatedBeforeData:
         ("preprocess", {"window_width": 1}, ()),
         ("ensemble", {"members": 0}, ()),
         ("ensemble", {"boost_threshold": 0}, ("--models", "cnn", "--ensemble", "boosting")),
+        ("preprocess", {"shuffle_seed": -1}, ()),
+        ("filter", {"seed": -1}, ()),
+        ("train", {"seed": -3}, ("--models", "cnn")),
     ], ids=["zscore_threshold", "split_fractions", "window_width", "members",
-            "boost_threshold"])
+            "boost_threshold", "shuffle_seed", "filter_seed", "train_seed"])
     def test_rule_held_by_a_config(self, cli_workspace, tmp_path, capsys, section, body, extra):
         """The config dataclass is the one place each of these rules is
         checked; the stage functions trust the values it passes them."""

@@ -9,7 +9,6 @@ from trackcast import ensemble as ens
 from trackcast.ensemble import (
     Combiner,
     EnsembleModel,
-    _stacker_from_predictions,
     bootstrap_sample,
     ensemble_predict_batch,
     fit_stacker,
@@ -256,7 +255,7 @@ class TestStacker:
     def test_perfect_member_gets_unit_weight(self):
         rng = np.random.default_rng(2)
         y = rng.normal(size=50)
-        comb = _stacker_from_predictions(y[:, None], y)
+        comb = fit_stacker(y[:, None], y)
         assert comb.kind == "stacker"
         assert comb.weights[0] == pytest.approx(1.0, abs=1e-9)
         assert comb.bias == pytest.approx(0.0, abs=1e-9)
@@ -267,7 +266,7 @@ class TestStacker:
         rng = np.random.default_rng(3)
         y = rng.normal(size=50)
         preds = np.stack([y + 1.0, y - 1.0], axis=1)
-        comb = _stacker_from_predictions(preds, y)
+        comb = fit_stacker(preds, y)
         assert comb.kind == "stacker"
         assert comb.weights[0] == pytest.approx(0.5, abs=1e-8)
         assert comb.weights[1] == pytest.approx(0.5, abs=1e-8)
@@ -277,29 +276,32 @@ class TestStacker:
         rng = np.random.default_rng(4)
         y = rng.normal(size=50)
         p = rng.normal(size=50)
-        comb = _stacker_from_predictions(np.stack([p, p], axis=1), y)
+        comb = fit_stacker(np.stack([p, p], axis=1), y)
         assert comb.kind == "mean"
         assert comb.fallback_reason is not None
 
     def test_fit_stacker_duplicate_member(self):
         va = make_ds(m=16, seed=9)
         p = some_params()
-        comb = fit_stacker((p, p), va)
+        comb = fit_stacker(member_predictions((p, p), va.windows), va.targets)
         assert comb.kind == "mean"
         assert comb.fallback_reason is not None
 
     def test_fit_stacker_validation(self):
         empty = WindowedDataset(windows=np.empty((0, 5, 3)), targets=np.empty(0),
                                 l=5, n=3, target_feature=0)
+        va = make_ds()
         with pytest.raises(InvalidArgumentError):
-            fit_stacker((), make_ds())
+            fit_stacker(np.empty((va.m, 0)), va.targets)
         with pytest.raises(InvalidArgumentError):
-            fit_stacker((some_params(),), empty)
+            fit_stacker(member_predictions((some_params(),), empty.windows),
+                        empty.targets)
 
     def test_stacked_model_preserves_everything_else(self):
         tr, va = make_ds(m=40), make_ds(m=16, seed=9)
         base = train_bagging(fast_cfg(), 2, tr, va)
-        stacked = replace(base, combiner=fit_stacker(base.members, va))
+        cols = member_predictions(base.members, va.windows)
+        stacked = replace(base, combiner=fit_stacker(cols, va.targets))
         assert stacked.members is base.members or stacked.members == base.members
         assert stacked.member_traces == base.member_traces
         assert stacked.method == base.method
@@ -310,7 +312,8 @@ class TestStacker:
     def test_stacker_validation_mse_not_worse_than_mean(self):
         tr, va = make_ds(m=40), make_ds(m=16, seed=9)
         base = train_bagging(fast_cfg(max_epochs=3), 3, tr, va)
-        stacked = replace(base, combiner=fit_stacker(base.members, va))
+        cols = member_predictions(base.members, va.windows)
+        stacked = replace(base, combiner=fit_stacker(cols, va.targets))
         if stacked.combiner.kind == "stacker":
             mean_mse = float(np.mean(
                 (ensemble_predict_batch(base, va.windows) - va.targets) ** 2))

@@ -262,11 +262,9 @@ def _per_cell(path):
     return ingest._read_csv_per_cell(path, CsvSchema())
 
 
-def _read_tracking_fallback(path, scan_bytes=ingest._SCAN_BYTES):
-    """read_csv's outcome, and whether it fell back to the per-cell parse.
-    A small ``scan_bytes`` puts chunk boundaries inside lines and "\\r\\n"."""
-    with mock.patch.object(ingest, "_read_csv_per_cell", wraps=ingest._read_csv_per_cell) as spy, \
-            mock.patch.object(ingest, "_SCAN_BYTES", scan_bytes):
+def _read_tracking_fallback(path):
+    """read_csv's outcome, and whether it fell back to the per-cell parse."""
+    with mock.patch.object(ingest, "_read_csv_per_cell", wraps=ingest._read_csv_per_cell) as spy:
         outcome = _outcome(read_csv, path)
     return outcome, spy.called
 
@@ -302,10 +300,9 @@ class TestBulkReadMatchesPerCell:
     def test_named_cases(self, tmp_path, text, falls_back):
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
-        for scan_bytes in (1, 2, 5, ingest._SCAN_BYTES):
-            outcome, fell_back = _read_tracking_fallback(path, scan_bytes)
-            assert outcome == _outcome(_per_cell, path)
-            assert fell_back == falls_back
+        outcome, fell_back = _read_tracking_fallback(path)
+        assert outcome == _outcome(_per_cell, path)
+        assert fell_back == falls_back
 
     def test_invalid_utf8_past_the_header_chunk(self, tmp_path):
         path = tmp_path / "bytes.csv"
@@ -320,11 +317,10 @@ class TestBulkReadMatchesPerCell:
         path.write_text(HEADER + "\n1.00000000000001,2,3\n")
         old = csv.field_size_limit(12)
         try:
-            for scan_bytes in (4, ingest._SCAN_BYTES):
-                outcome, fell_back = _read_tracking_fallback(path, scan_bytes)
-                assert outcome == _outcome(_per_cell, path)
-                assert fell_back and outcome[1] is DataFormatError
-                assert "field larger than field limit" in outcome[2]
+            outcome, fell_back = _read_tracking_fallback(path)
+            assert outcome == _outcome(_per_cell, path)
+            assert fell_back and outcome[1] is DataFormatError
+            assert "field larger than field limit" in outcome[2]
         finally:
             csv.field_size_limit(old)
 
@@ -347,9 +343,8 @@ class TestBulkReadMatchesPerCell:
         ),
         endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7),
         final_newline=st.booleans(),
-        scan_bytes=st.sampled_from([1, 2, 3, 7, ingest._SCAN_BYTES]),
     )
-    def test_differential(self, tmp_path_factory, lines, endings, final_newline, scan_bytes):
+    def test_differential(self, tmp_path_factory, lines, endings, final_newline):
         text = HEADER
         for cells, end in zip(lines, endings):
             text += end + ",".join(cells)
@@ -357,7 +352,7 @@ class TestBulkReadMatchesPerCell:
             text += endings[-1]
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _read_tracking_fallback(path, scan_bytes)[0] == _outcome(_per_cell, path)
+        assert _read_tracking_fallback(path)[0] == _outcome(_per_cell, path)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -79,9 +79,9 @@ class TestInit:
     def test_gru_smaller_than_lstm(self):
         lstm = init_params(small_cfg("lstm"), 3, 5)
         gru = init_params(small_cfg("gru"), 3, 5)
-        assert gru.parameter_count() < lstm.parameter_count()
+        assert gru.vector.size < lstm.vector.size
         # 3 gates vs 4, same head
-        assert lstm.parameter_count() - gru.parameter_count() == 4 * 3 + 4 * 4 + 4
+        assert lstm.vector.size - gru.vector.size == 4 * 3 + 4 * 4 + 4
 
     def test_cnn_shapes(self):
         p = init_params(small_cfg("cnn"), 3, 5)
@@ -271,7 +271,7 @@ class TestFlatVector:
     @pytest.mark.parametrize("arch", ARCHS)
     def test_tensors_are_views_with_regularized_prefix(self, arch):
         p = init_params(small_cfg(arch), 3, 5)
-        assert p.parameter_count() == sum(a.size for a in p.tensors.values())
+        assert p.vector.size == sum(a.size for a in p.tensors.values())
         assert all(np.shares_memory(a, p.vector) for a in p.tensors.values())
         reg = regularized_tensor_names(arch)
         assert p.prefix == sum(p.tensors[k].size for k in reg)

@@ -16,6 +16,7 @@ from trackcast.ensemble import (
     EnsembleModel,
     ensemble_predict_batch,
     fit_stacker,
+    member_predictions,
     train_bagging,
     train_boosting,
 )
@@ -153,7 +154,8 @@ class TestRoundTrips:
     def test_stacked_ensemble(self, tmp_path):
         tr, va = make_ds(m=24, l=5), make_ds(m=16, l=5, seed=9)
         base = train_bagging(fast_cfg(), 2, tr, va)
-        model = replace(base, combiner=fit_stacker(base.members, va))
+        cols = member_predictions(base.members, va.windows)
+        model = replace(base, combiner=fit_stacker(cols, va.targets))
         path = tmp_path / "stack.tckm"
         save_model(model, path)
         loaded = load_model(path)

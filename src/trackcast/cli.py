@@ -211,12 +211,12 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleC
     returns (entry dict, model object)."""
     if name == "lr":
         model = lin.fit_linear(split.train)
-        predict = lambda w: lin.predict_linear_batch(model, w)
+        predict = lambda ds: lin.predict_linear_batch(model, ds.windows)
         entry = {"kind": "linear", "details": {"ridge_fallback": model.ridge_fallback}}
     elif name == "arima":
         p, d, q = setting
         model = lin.fit_arimax(split.train, p, d, q)
-        predict = lambda w: lin.predict_arimax_batch(model, w)
+        predict = lambda ds: lin.predict_arimax_batch(model, ds.windows)
         entry = {
             "kind": "arimax",
             "details": {
@@ -228,11 +228,11 @@ def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleC
         }
     elif ens_cfg.method == "none":
         model, trace = net.train(setting, split.train, split.val)
-        predict = lambda w: net.predict_batch(model, w)
+        predict = lambda ds: net.predict_batch(model, ds)
         entry = {"kind": "network", "trace": asdict(trace)}
     else:
         return _train_ensemble(setting, split, ens_cfg)
-    preds = {part: predict(ds.windows) for part, ds in _parts(split) if ds.m}
+    preds = {part: predict(ds) for part, ds in _parts(split) if ds.m}
     return dict(entry, metrics=_metrics_of(preds, split)), model
 
 
@@ -251,11 +251,11 @@ def _train_ensemble(net_cfg, split: SplitSet, ens_cfg: ens.EnsembleConfig):
         )
     # one prediction pass per member and part feeds the stacker, the
     # member metrics and the ensemble metrics
-    cols = {part: ens.member_predictions(model.members, ds.windows)
+    cols = {part: ens.member_predictions(model.members, ds)
             for part, ds in _parts(split) if ds.m}
     if ens_cfg.stack:
         model = replace(model, combiner=ens.fit_stacker(cols["val"], split.val.targets))
-    preds = {part: ens.ensemble_predict_batch(model, ds.windows, cols[part])
+    preds = {part: ens.ensemble_predict_batch(model, ds, cols[part])
              for part, ds in _parts(split) if part in cols}
     summary = {
         "method": model.method,

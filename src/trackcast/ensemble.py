@@ -189,7 +189,7 @@ def train_boosting(
             pool_ds, pool_idx = ds, np.arange(ds.m)
         else:
             pool_ds, pool_idx = current, current_idx
-        resid = np.abs(pool_ds.targets - predict_batch(params, pool_ds.windows))
+        resid = np.abs(pool_ds.targets - predict_batch(params, pool_ds))
         keep = resid > threshold
         next_abs = pool_idx[keep]
         selections.append(tuple(int(k) for k in next_abs))
@@ -210,18 +210,16 @@ def train_boosting(
     )
 
 
-def member_predictions(members, windows: np.ndarray) -> np.ndarray:
-    """Column j holds member j's predictions."""
-    x = np.asarray(windows, dtype=np.float64)
-    cols = [predict_batch(p, x) for p in members]
-    return np.stack(cols, axis=1)
+def member_predictions(members, windows) -> np.ndarray:
+    """Column j holds member j's predictions for ``windows``, an
+    (m, l, n) array or a ``WindowedDataset`` (see ``predict_batch``)."""
+    return np.stack([predict_batch(p, windows) for p in members], axis=1)
 
 
 def fit_stacker(preds: np.ndarray, targets: np.ndarray) -> Combiner:
     """Least-squares combiner over member prediction columns on
-    validation data: ``preds`` is
-    ``member_predictions(members, val_ds.windows)`` and ``targets`` is
-    ``val_ds.targets``.
+    validation data: ``preds`` is ``member_predictions(members, val_ds)``
+    and ``targets`` is ``val_ds.targets``.
 
     A numerically singular prediction matrix (e.g. identical members)
     falls back to the mean; a merely rank-deficient regression (columns
@@ -243,13 +241,14 @@ def fit_stacker(preds: np.ndarray, targets: np.ndarray) -> Combiner:
     )
 
 
-def ensemble_predict_batch(model: EnsembleModel, windows: np.ndarray,
-                           member_preds=None) -> np.ndarray:
-    """Combined prediction for a stack of windows.
+def ensemble_predict_batch(model: EnsembleModel, windows, member_preds=None) -> np.ndarray:
+    """Combined prediction for an (m, l, n) stack of windows or a
+    ``WindowedDataset``.
 
     ``member_preds``, when given, must be
     ``member_predictions(model.members, windows)``; passing columns
-    already computed saves a second prediction pass.
+    already computed saves a second prediction pass, and ``windows`` is
+    then not read.
     """
     preds = member_predictions(model.members, windows) if member_preds is None else member_preds
     if model.combiner.kind == "mean":

@@ -197,8 +197,8 @@ def init_params(cfg: NetworkConfig, n_features: int, window_len: int) -> Network
     return NetworkParams.from_tensors(cfg.arch, n, l, hidden, count, width, tensors)
 
 
-def _check_batch(params: NetworkParams, x: np.ndarray) -> None:
-    if x.ndim != 3 or x.shape[1] != params.window_len or x.shape[2] != params.n_features:
+def _check_batch(params: NetworkParams, shape: tuple) -> None:
+    if len(shape) != 3 or shape[1:] != (params.window_len, params.n_features):
         raise InvalidArgumentError(
             f"windows must have shape (batch, {params.window_len}, {params.n_features})"
         )
@@ -445,38 +445,51 @@ def _one_blas_thread():
         set_threads(before)
 
 
-def _parallel_forward(fwd, params: NetworkParams, chunks) -> list:
-    """``fwd`` over every chunk on a pool of one thread per core, with
-    numpy's OpenBLAS held to one thread until the last chunk is done:
-    two BLAS threads under two Python threads ran slower than serial.
-    The pool's threads end before this returns."""
+def _parallel_forward(run, chunk_starts) -> list:
+    """``run`` over every chunk start on a pool of one thread per core,
+    with numpy's OpenBLAS held to one thread until the last chunk is
+    done: two BLAS threads under two Python threads ran slower than
+    serial.  The pool's threads end before this returns."""
     from concurrent.futures import ThreadPoolExecutor
 
     with _predict_lock, _one_blas_thread(), ThreadPoolExecutor(
         _usable_cores(), thread_name_prefix="trackcast-predict"
     ) as pool:
-        futures = [pool.submit(fwd, params, c, False) for c in chunks]
-        return [f.result()[0] for f in futures]
+        futures = [pool.submit(run, a) for a in chunk_starts]
+        return [f.result() for f in futures]
 
 
-def predict_batch(params: NetworkParams, windows: np.ndarray) -> np.ndarray:
-    """Predictions for a stack of windows; equals per-window prediction
-    elementwise.
+def predict_batch(params: NetworkParams, windows) -> np.ndarray:
+    """Predictions for an (m, l, n) stack of windows or a
+    ``WindowedDataset``, in order.
 
-    Windows run in chunks of ``_PREDICT_CHUNK``.  With two chunks or
-    more, two usable cores or more, and numpy's OpenBLAS found, the
-    chunks run in parallel (``_parallel_forward``); otherwise one after
-    another.  Each chunk's result is the same either way.
+    Windows run in chunks of ``_PREDICT_CHUNK``: views of an array, or
+    gathered from a dataset's ``starts`` by the call that predicts the
+    chunk, so a dataset's windows are never all held at once.  With two
+    chunks or more, two usable cores or more, and numpy's OpenBLAS
+    found, the chunks run in parallel (``_parallel_forward``); otherwise
+    one after another.  The same windows in the same chunks give the
+    same bytes either way, from an array or a dataset; a window in
+    another chunk, or alone, agrees within rounding, since its bits can
+    depend on its row in the chunk through BLAS kernels.
     """
-    x = np.asarray(windows, dtype=np.float64)
-    _check_batch(params, x)
-    if x.shape[0] == 0:
+    if isinstance(windows, WindowedDataset):
+        m = windows.m
+        _check_batch(params, (m, windows.l, windows.n))
+        chunk = lambda a: windows.gather(slice(a, a + _PREDICT_CHUNK))
+    else:
+        x = np.asarray(windows, dtype=np.float64)
+        _check_batch(params, x.shape)
+        m = x.shape[0]
+        chunk = lambda a: x[a : a + _PREDICT_CHUNK]
+    if m == 0:
         return np.empty(0)
     fwd = _FORWARD[params.arch]
-    chunks = [x[a : a + _PREDICT_CHUNK] for a in range(0, x.shape[0], _PREDICT_CHUNK)]
-    if len(chunks) < 2 or _usable_cores() < 2 or _openblas_threads() is None:
-        return np.concatenate([fwd(params, c, False)[0] for c in chunks])
-    return np.concatenate(_parallel_forward(fwd, params, chunks))
+    run = lambda a: fwd(params, chunk(a), False)[0]
+    chunk_starts = range(0, m, _PREDICT_CHUNK)
+    if len(chunk_starts) < 2 or _usable_cores() < 2 or _openblas_threads() is None:
+        return np.concatenate([run(a) for a in chunk_starts])
+    return np.concatenate(_parallel_forward(run, chunk_starts))
 
 
 def _penalty(params: NetworkParams, l2_lambda: float) -> float:
@@ -498,7 +511,7 @@ def loss_and_grads(params: NetworkParams, windows, targets, l2_lambda: float, ou
     ``out`` when given, else into a new array."""
     x = np.asarray(windows, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    _check_batch(params, x)
+    _check_batch(params, x.shape)
     if x.shape[0] == 0 or y.shape != (x.shape[0],):
         raise InvalidArgumentError("targets must align with a non-empty batch")
     preds, aux = _FORWARD[params.arch](params, x, need_cache=True)
@@ -598,10 +611,11 @@ class EarlyStopper:
 
 
 def dataset_mse(params: NetworkParams, ds: WindowedDataset) -> float:
-    """Plain MSE of the network over a windowed dataset."""
+    """Plain MSE of the network over a windowed dataset, predicted by
+    ``predict_batch(params, ds)`` one gathered chunk at a time."""
     if ds.m == 0:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
-    resid = predict_batch(params, ds.windows) - ds.targets
+    resid = predict_batch(params, ds) - ds.targets
     return float(resid @ resid) / ds.m
 
 

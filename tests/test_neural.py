@@ -146,6 +146,9 @@ class TestForward:
             predict_batch(p, np.zeros((2, 5, 4)))
         with pytest.raises(InvalidArgumentError):
             predict_batch(p, np.zeros((2, 6, 3)))
+        for l, n in ((5, 4), (6, 3)):
+            with pytest.raises(InvalidArgumentError):
+                predict_batch(p, make_ds(m=2, l=l, n=n))
 
 
 class TestInferenceMemory:
@@ -164,6 +167,27 @@ class TestInferenceMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * chunk_buffer
+
+    @pytest.mark.parametrize("arch", ["lstm", "gru"])
+    def test_dataset_evaluation_gathers_a_chunk_at_a_time(self, arch, monkeypatch):
+        """``dataset_mse`` gathers each chunk's windows inside the call
+        that predicts it, so its peak holds about one chunk per pool
+        thread (two here), not the whole dataset's eight."""
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
+        l, n, m = 8, 16, 8 * neural._PREDICT_CHUNK
+        rng = np.random.default_rng(0)
+        ds = WindowedDataset(rows=rng.normal(size=(m + l, n)), starts=np.arange(m),
+                             targets=rng.normal(size=m), l=l, n=n)
+        # a one-unit net keeps the work buffers small next to a chunk
+        p = init_params(small_cfg(arch, hidden_size=1), n, l)
+        chunk_bytes = neural._PREDICT_CHUNK * l * n * 8
+        tracemalloc.start()
+        try:
+            dataset_mse(p, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk_bytes
 
 
 class TestSigmoid:
@@ -360,13 +384,26 @@ class TestParallelPredict:
     @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 3 * 1024 + 5])
     @pytest.mark.parametrize("arch", ARCHS)
     def test_bit_identical_to_forced_serial(self, arch, m, monkeypatch):
+        """Each dataset's windows array, predicted in parallel, is the
+        reference: the dataset itself, which gathers chunk by chunk, and
+        the serial path give the same bytes."""
         ds = make_ds(m=m, seed=6)
+        rng = np.random.default_rng(m)
+        # a bootstrap sample repeats starts; a permuted subset unsorts them
+        inputs = (ds, ds.subset(rng.integers(0, max(m, 1), size=m)),
+                  ds.subset(rng.permutation(m)))
         p = init_params(small_cfg(arch), ds.n, ds.l)
-        parallel = predict_batch(p, ds.windows)
+
+        def predictions():
+            return [(predict_batch(p, d.windows), predict_batch(p, d)) for d in inputs]
+
+        parallel = predictions()
         monkeypatch.setattr(neural, "_openblas_threads", lambda: None)
-        serial = predict_batch(p, ds.windows)
-        assert parallel.shape == (m,)
-        assert np.array_equal(parallel, serial)
+        serial = predictions()
+        for (want, from_ds), (serial_array, serial_ds) in zip(parallel, serial):
+            assert want.shape == (m,)
+            for got in (from_ds, serial_array, serial_ds):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_one_blas_thread_inside_and_restored_after(self, fails, monkeypatch):

@@ -98,14 +98,35 @@ def fit_linear(ds: WindowedDataset) -> LinearModel:
     )
 
 
-def predict_linear_batch(model: LinearModel, windows: np.ndarray) -> np.ndarray:
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 3 or w.shape[2] != model.n_features:
-        raise InvalidArgumentError(
-            f"windows must have {model.n_features} feature columns"
-        )
-    x = w[:, -1, _exog_indices(model.n_features, model.target_feature)]
+def predict_linear_batch(model: LinearModel, data) -> np.ndarray:
+    """One-step forecasts W.x + b from each window's newest row.
+
+    ``data`` is a ``WindowedDataset`` or an (m, l, n) array of windows;
+    either needs the model's n feature columns, and the model's own
+    target feature picks the exogenous columns.  Only the newest row of
+    each window is gathered, and a dataset and its ``windows`` give the
+    same bytes.
+    """
+    ds = _as_dataset(model, data)
+    x = ds.row(-1)[:, _exog_indices(ds.n, ds.target_feature)]
     return x @ model.weights + model.bias
+
+
+def _as_dataset(model, data) -> WindowedDataset:
+    """``data``, a ``WindowedDataset`` or an (m, l, n) array of windows, as
+    a dataset with the model's target feature.  An array becomes one over
+    its own rows, with zero targets, without a copy when it is float64
+    and C-ordered; a dataset keeps its table."""
+    if not isinstance(data, WindowedDataset):
+        w = np.asarray(data, dtype=np.float64)
+        if w.ndim != 3:
+            raise InvalidArgumentError("windows must have shape (m, l, n)")
+        data = WindowedDataset(windows=w, targets=np.zeros(w.shape[0]), l=w.shape[1],
+                               n=w.shape[2])
+    if data.n != model.n_features:
+        raise InvalidArgumentError(f"windows must have {model.n_features} feature columns")
+    return WindowedDataset(rows=data.rows, starts=data.starts, targets=data.targets,
+                           l=data.l, n=data.n, target_feature=model.target_feature)
 
 
 def undifference(last_values, forecast: float, d: int) -> float:
@@ -162,34 +183,44 @@ class ArimaxModel:
 
 def _window_diff_parts(ds: WindowedDataset, d: int):
     """Differenced in-window series (time-major, one row of m windows per
-    position), differenced responses, and aligned exogenous rows for
-    every window."""
+    position), differenced responses, the table's exogenous columns (views,
+    in feature order), and the table row each position of each window
+    reads, ``starts + d + t`` (time-major too).  No (m, l) block of any
+    exogenous feature is gathered."""
     tf = ds.target_feature
-    exog = _exog_indices(ds.n, tf)
     series = np.concatenate([ds.feature(tf), ds.targets[:, None]], axis=1)  # (m, l+1)
     diffed = np.diff(series, n=d, axis=1) if d else series
     z = np.ascontiguousarray(diffed[:, :-1].T)
     zy = diffed[:, -1]
-    # (m, l - d, nex), exogenous-major like a slice of C-ordered windows:
-    # ``xt @ beta`` takes its BLAS path, and its bits, from this layout
-    xt = np.empty((len(exog), ds.m, ds.l - d))
-    for k, j in enumerate(exog):
-        xt[k] = ds.feature(j)[:, d:]
-    return z, zy, xt.transpose(1, 2, 0), ds.row(-1)[:, exog]
+    xcols = [ds.rows[:, j] for j in _exog_indices(ds.n, tf)]
+    at = ds.starts + d + np.arange(ds.l - d)[:, None]
+    return z, zy, xcols, at
 
 
-def _arimax_forward(c, phi, theta, beta, z, xt, x_last):
+def _exog_term(beta, xcols, at) -> np.ndarray:
+    """``beta . x`` at the table rows ``at``, shaped like ``at``: one
+    table-wide projection, summed column by column in a fixed order, so
+    a row's bits do not depend on its position in the table."""
+    if not xcols:
+        return np.zeros(at.shape)
+    proj = beta[0] * xcols[0]
+    for b, col in zip(beta[1:], xcols[1:]):
+        proj += b * col
+    return proj[at]
+
+
+def _arimax_forward(c, phi, theta, beta, z, xcols, at):
     """Residual recursion and one-step forecast, vectorized over windows.
 
     ``z`` is time-major, shape (L, m).  The recursion starts at t = p
     (earlier residuals are zero) and uses each position's own exogenous
-    row; the final forecast uses the newest available row's features.
-    Returns the forecasts and the (L, m) residuals.
+    row; the final forecast uses the newest row's features, those of
+    position L - 1.  Returns the forecasts and the (L, m) residuals.
     """
     big_l, m = z.shape
     p, q = phi.shape[0], theta.shape[0]
     eps = np.zeros((big_l, m))
-    ex = np.ascontiguousarray((xt @ beta).T) if beta.size else np.zeros((big_l, m))
+    ex = _exog_term(beta, xcols, at)
     for t in range(p, big_l):
         pred = c + ex[t]
         for i in range(1, p + 1):
@@ -197,9 +228,7 @@ def _arimax_forward(c, phi, theta, beta, z, xt, x_last):
         for j in range(1, min(q, t) + 1):
             pred = pred + theta[j - 1] * eps[t - j]
         eps[t] = z[t] - pred
-    zhat = np.full(m, c)
-    if beta.size:
-        zhat = zhat + x_last @ beta
+    zhat = c + ex[-1]
     for i in range(1, p + 1):
         zhat = zhat + phi[i - 1] * z[big_l - i]
     for j in range(1, q + 1):
@@ -211,18 +240,19 @@ def _unpack(vec, p, q):
     return float(vec[0]), vec[1 : 1 + p], vec[1 + p : 1 + p + q], vec[1 + p + q :]
 
 
-def _css_parts(vec, p, q, z, zy, xt, x_last):
+def _css_parts(vec, p, q, z, zy, xcols, at):
     """Conditional sum of squares, forecast residuals and in-window
     residuals at the packed parameters ``vec``."""
     c, phi, theta, beta = _unpack(vec, p, q)
-    zhat, eps = _arimax_forward(c, phi, theta, beta, z, xt, x_last)
+    zhat, eps = _arimax_forward(c, phi, theta, beta, z, xcols, at)
     r = zy - zhat
     return float(r @ r), r, eps
 
 
-def _residual_jacobian(vec, p, q, z, eps, xt, x_last) -> np.ndarray:
+def _residual_jacobian(vec, p, q, z, eps, xcols, at, out=None) -> np.ndarray:
     """d r / d vec for the forecast residuals r = zy - zhat, shape (k, m),
-    by forward-mode accumulation through the residual recursion.
+    by forward-mode accumulation through the residual recursion; written
+    into ``out`` when given.
 
     The forecast residual is the recursion's step t = L, and every step
     t = p..L obeys D_t = -(G_t + sum_j theta_j D_{t-j}), with D_t = 0
@@ -230,7 +260,9 @@ def _residual_jacobian(vec, p, q, z, eps, xt, x_last) -> np.ndarray:
     exogenous row).  theta is shared by all windows, so accumulating
     forward gives D_L = -sum_s psi_{L-s} G_s with scalar weights psi,
     the MA filter's impulse response: psi_0 = 1,
-    psi_n = -sum_j theta_j psi_{n-j}.
+    psi_n = -sum_j theta_j psi_{n-j}.  An exogenous row is then one
+    convolution of a table column with those weights, read at each
+    window's row of position p.
     """
     big_l, m = z.shape
     theta = vec[1 + p : 1 + p + q]
@@ -238,18 +270,22 @@ def _residual_jacobian(vec, p, q, z, eps, xt, x_last) -> np.ndarray:
     for n in range(1, psi.shape[0]):
         psi[n] = -sum(theta[j - 1] * psi[n - j] for j in range(1, min(q, n) + 1))
     w = psi[::-1].copy()  # weight of step s = p..L
-    eps_lags = np.vstack([np.zeros((q, m)), eps])  # row s + q holds eps_s
-    jac = np.empty((vec.shape[0], m))
+    jac = np.empty((vec.shape[0], m)) if out is None else out
     jac[0] = w.sum()
     for i in range(1, p + 1):
         jac[i] = w @ z[p - i : big_l + 1 - i]
     for j in range(1, q + 1):
-        jac[p + j] = w @ eps_lags[p - j + q : big_l - j + q + 1]
-    jac[1 + p + q :] = xt[:, p:, :].transpose(2, 0, 1) @ w[:-1] + w[-1] * x_last.T
+        s0 = max(p, j)  # eps_{s-j} is zero before position p
+        jac[p + j] = w[s0 - p :] @ eps[s0 - j : big_l + 1 - j]
+    # step L reads the newest row, the row of position L - 1
+    v = w[:-1].copy()
+    v[-1] += w[-1]
+    for k, col in enumerate(xcols):
+        jac[1 + p + q + k] = np.convolve(col, v[::-1], "valid")[at[p]]
     return np.negative(jac, out=jac)
 
 
-def _refine_css(vec, parts, p, q, z, zy, xt, x_last):
+def _refine_css(vec, parts, p, q, z, zy, xcols, at):
     """Levenberg–Marquardt (damped Gauss–Newton) descent on the CSS from
     ``vec``, whose ``_css_parts`` are ``parts``.  A step s solves
     (J J' + lam diag(J J')) s = -J r; a step that lowers the CSS is taken
@@ -259,14 +295,14 @@ def _refine_css(vec, parts, p, q, z, zy, xt, x_last):
     (vec, css, whether any step was taken).
     """
     css, r, eps = parts
-    jac = _residual_jacobian(vec, p, q, z, eps, xt, x_last)
+    jac = _residual_jacobian(vec, p, q, z, eps, xcols, at)
     lam, evals, moved = _LM_DAMPING, 1, False
     while evals < _LM_MAX_EVALS and lam < _LM_MAX_DAMPING:
         a = jac @ jac.T
         step = np.linalg.lstsq(a + lam * np.diag(np.diag(a)), -(jac @ r), rcond=None)[0]
         cand = vec + step
         with np.errstate(over="ignore", invalid="ignore"):
-            cand_css, cand_r, cand_eps = _css_parts(cand, p, q, z, zy, xt, x_last)
+            cand_css, cand_r, cand_eps = _css_parts(cand, p, q, z, zy, xcols, at)
         evals += 1
         if not cand_css < css:  # also rejects nan and inf
             lam *= 10.0
@@ -276,33 +312,43 @@ def _refine_css(vec, parts, p, q, z, zy, xt, x_last):
         if converged:
             break
         lam *= 0.1
-        jac = _residual_jacobian(vec, p, q, z, eps, xt, x_last)
+        _residual_jacobian(vec, p, q, z, eps, xcols, at, out=jac)
         evals += 1
     return vec, css, moved
 
 
-def _initial_residuals(z, xt, order: int) -> np.ndarray:
+def _initial_residuals(z, xcols, at, order: int) -> np.ndarray:
     """Time-major residuals of one long autoregression of the given
     order, with each position's exogenous row, fitted to every in-window
-    position t >= order; zero before.  A function of its own so that the
-    (L - order) * m-row design is freed before the refinement runs."""
+    position t >= order; zero before.  The (L - order) * m-row design is
+    never held: each position's block of m rows updates the R factor of
+    [design | response] by QR, which keeps lstsq's accuracy, and a
+    second pass forms each block's residuals."""
     big_l, m = z.shape
-    # filled in place, in the Fortran order the stacked blocks had:
-    # ``design @ coef`` below takes another BLAS kernel, and other bits,
-    # on a C-ordered design
-    design = np.empty(((big_l - order) * m, 1 + order + xt.shape[2]), order="F")
-    for t in range(order, big_l):
-        block = design[(t - order) * m : (t - order + 1) * m]
-        block[:, 0] = 1.0
-        for i in range(1, order + 1):
-            block[:, i] = z[t - i]
-        block[:, order + 1 :] = xt[:, t, :]
-    resp = z[order:].ravel()
-    if design.shape[0] <= design.shape[1]:
+    k = 1 + order + len(xcols)
+    n_rows = (big_l - order) * m
+    if n_rows <= k:
         raise IllPosedError("too few windows for the residual regression")
-    coef, *_ = np.linalg.lstsq(design, resp, rcond=None)
+
+    def block(t):  # [1, z lags, exogenous row | response] at position t
+        out = np.empty((m, k + 1), order="F")
+        out[:, 0] = 1.0
+        for i in range(1, order + 1):
+            out[:, i] = z[t - i]
+        for j, col in enumerate(xcols):
+            out[:, order + 1 + j] = col[at[t]]
+        out[:, k] = z[t]
+        return out
+
+    r = np.empty((0, k + 1))
+    for t in range(order, big_l):
+        r = np.linalg.qr(np.vstack([r, block(t)]), mode="r")
+    # lstsq's default cutoff for the whole design, so rank decisions match
+    coef = np.linalg.lstsq(r[:k, :k], r[:k, k], rcond=np.finfo(np.float64).eps * n_rows)[0]
     eps0 = np.zeros((big_l, m))
-    eps0[order:] = (resp - design @ coef).reshape(big_l - order, m)
+    for t in range(order, big_l):
+        b = block(t)
+        eps0[t] = b[:, k] - b[:, :k] @ coef
     return eps0
 
 
@@ -349,28 +395,26 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     if ds.m == 0:
         raise IllPosedError("cannot fit on an empty dataset")
 
-    z, zy, xt, x_last = _window_diff_parts(ds, d)
+    z, zy, xcols, at = _window_diff_parts(ds, d)
     big_l, m = z.shape
-    nex = x_last.shape[1]
 
-    eps0 = _initial_residuals(z, xt, p + q + 2) if q > 0 else np.zeros((big_l, m))
+    eps0 = _initial_residuals(z, xcols, at, p + q + 2) if q > 0 else np.zeros((big_l, m))
 
     cols = [np.ones(m)]
     cols += [z[big_l - i] for i in range(1, p + 1)]
     cols += [eps0[big_l - j] for j in range(1, q + 1)]
+    cols += [col[at[-1]] for col in xcols]  # the newest row's exogenous features
     design1 = np.column_stack(cols)
-    if nex:
-        design1 = np.hstack([design1, x_last])
     if m <= design1.shape[1]:
         raise IllPosedError(
             f"{m} windows cannot determine {design1.shape[1]} coefficients"
         )
     coef1, *_ = np.linalg.lstsq(design1, zy, rcond=None)
 
-    parts = _css_parts(coef1, p, q, z, zy, xt, x_last)
+    parts = _css_parts(coef1, p, q, z, zy, xcols, at)
     vec, css_final, warning = coef1, parts[0], False
     if q > 0:
-        vec, css_final, moved = _refine_css(coef1, parts, p, q, z, zy, xt, x_last)
+        vec, css_final, moved = _refine_css(coef1, parts, p, q, z, zy, xcols, at)
         warning = not moved
 
     c, phi, theta, beta = _unpack(vec, p, q)
@@ -390,35 +434,31 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     )
 
 
-def predict_arimax_batch(model: ArimaxModel, windows: np.ndarray) -> np.ndarray:
-    """One-step forecasts for a stack of windows on the original scale."""
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim != 3:
-        raise InvalidArgumentError("windows must have shape (m, l, n)")
-    if w.shape[0] == 0:
-        return np.empty(0)
-    if w.shape[2] != model.n_features:
-        raise InvalidArgumentError(f"window must have {model.n_features} feature columns")
+def predict_arimax_batch(model: ArimaxModel, data) -> np.ndarray:
+    """One-step forecasts on the original scale.
+
+    ``data`` is a ``WindowedDataset`` or an (m, l, n) array of windows;
+    either needs the model's n feature columns and windows of at least
+    max(p, 1, q) + d rows, and the model's own target feature is the
+    endogenous channel.  Both go down the fit's differencing path, which
+    reads the table through start rows and never gathers an (m, l, n)
+    stack, so a dataset and its ``windows`` give the same bytes.
+    """
+    ds = _as_dataset(model, data)
     needed = max(model.p + model.d, model.d + 1, model.q + model.d)
-    if w.shape[1] < needed:
+    if ds.l < needed:
         raise InvalidArgumentError(f"window must supply at least {needed} past rows")
-    tf = model.target_feature
-    exog = _exog_indices(model.n_features, tf)
-    endog = w[:, :, tf]
-    z = np.ascontiguousarray((np.diff(endog, n=model.d, axis=1) if model.d else endog).T)
-    xt = w[:, model.d :, exog] if exog else np.zeros((w.shape[0], w.shape[1] - model.d, 0))
-    x_last = w[:, -1, exog] if exog else np.zeros((w.shape[0], 0))
-    zhat, _ = _arimax_forward(model.c, model.phi, model.theta, model.beta, z, xt, x_last)
+    z, _, xcols, at = _window_diff_parts(ds, model.d)
+    zhat, _ = _arimax_forward(model.c, model.phi, model.theta, model.beta, z, xcols, at)
     if model.d == 0:
         return zhat
     # ``undifference`` on every window at once: the same level tails,
     # added in the same order, so each value is bit-identical
     levels = []
-    tails = endog[:, -model.d :]
+    tails = ds.feature(model.target_feature)[:, -model.d :]
     for _ in range(model.d):
         levels.append(tails[:, -1])
         tails = np.diff(tails, axis=1)
     for level in reversed(levels):
         zhat = zhat + level
     return zhat
-

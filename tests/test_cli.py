@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1008,6 +1009,52 @@ class TestOneBlasThread:
                             (out_dir / "arima.tckm").read_bytes()))
         assert sorted(os.listdir(out_dir)) == ["arima.tckm", "lr.tckm", "report.json"]
         assert outputs[0] == outputs[1]
+
+
+class TestSteadyMemory:
+    """Every command pins glibc malloc to one arena and fixed mmap and
+    trim thresholds, and turns numpy's huge-page advice off, before it
+    starts; without ``mallopt`` it runs as is."""
+
+    def fake_libc(self, monkeypatch, libc):
+        """``ctypes.CDLL(None)`` gives ``libc``, or raises it when it is
+        an exception; OpenBLAS is still found by path."""
+        real = cli.ctypes.CDLL
+
+        def cdll(name, *args, **kwargs):
+            if name is not None:
+                return real(name, *args, **kwargs)
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+
+    def test_main_pins_malloc_and_huge_pages(self, cli_workspace, tmp_path, monkeypatch):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        libc = type("Libc", (), {})()
+        libc.mallopt = Mallopt()
+        self.fake_libc(monkeypatch, libc)
+        multiarray = np._core.multiarray
+        monkeypatch.setattr(multiarray, "_set_madvise_hugepage",
+                            lambda enabled: calls.append(("hugepage", enabled)))
+        code, _ = run_cli(cli_workspace, tmp_path)
+        assert code == EXIT_OK
+        assert calls == [(-8, 1), (-3, 4 << 20), (-1, 8 << 20), ("hugepage", False)]
+
+    @pytest.mark.parametrize("libc", ["no mallopt", "no library"])
+    def test_without_mallopt_the_command_runs(self, cli_workspace, tmp_path, monkeypatch, libc):
+        missing = type("Libc", (), {})() if libc == "no mallopt" else OSError(libc)
+        self.fake_libc(monkeypatch, missing)
+        code, out_dir = run_cli(cli_workspace, tmp_path)
+        assert code == EXIT_OK
+        assert (out_dir / "report.json").is_file()
 
 
 def _layout(node, path="", out=None):

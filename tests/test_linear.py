@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -326,13 +327,14 @@ class TestCssRefinement:
         assert np.array_equal(model.phi, first.phi)
 
 
-def window_major_forward(c, phi, theta, beta, z, xt, x_last):
+def window_major_forward(c, phi, theta, beta, z, ex):
     """The residual recursion on (m, L) windows-by-position columns, as
-    it ran before the time-major layout: the reference for its bits."""
+    it ran before the time-major layout: the reference for its bits.
+    ``ex`` (m, L) holds each position's exogenous term; the forecast
+    reads the newest position's."""
     m, big_l = z.shape
     p, q = phi.shape[0], theta.shape[0]
     eps = np.zeros((m, big_l))
-    ex = xt @ beta if beta.size else np.zeros((m, big_l))
     for t in range(p, big_l):
         pred = c + ex[:, t]
         for i in range(1, p + 1):
@@ -342,7 +344,7 @@ def window_major_forward(c, phi, theta, beta, z, xt, x_last):
         eps[:, t] = z[:, t] - pred
     zhat = np.full(m, c)
     if beta.size:
-        zhat = zhat + x_last @ beta
+        zhat = zhat + ex[:, -1]
     for i in range(1, p + 1):
         zhat = zhat + phi[i - 1] * z[:, big_l - i]
     for j in range(1, q + 1):
@@ -355,12 +357,28 @@ class TestTimeMajorForward:
     def test_bit_identical_to_window_major(self, p, d, q, n):
         rng = np.random.default_rng(17)
         ds = ds_from(rng.normal(size=(300, 9, n)), rng.normal(size=300), tf=n - 1)
-        z, zy, xt, x_last = _window_diff_parts(ds, d)
+        z, zy, xcols, at = _window_diff_parts(ds, d)
         c, phi, theta, beta = 0.1, rng.normal(size=p), rng.normal(size=q), rng.normal(size=n - 1)
-        zhat, eps = lin._arimax_forward(c, phi, theta, beta, z, xt, x_last)
-        ref_zhat, ref_eps = window_major_forward(c, phi, theta, beta, z.T.copy(), xt, x_last)
+        ex = lin._exog_term(beta, xcols, at)
+        # the table-wide projection reads each position's own exogenous row
+        assert np.allclose(ex.T, ds.windows[:, d:, :-1] @ beta, rtol=0, atol=1e-12)
+        zhat, eps = lin._arimax_forward(c, phi, theta, beta, z, xcols, at)
+        ref_zhat, ref_eps = window_major_forward(c, phi, theta, beta, z.T.copy(), ex.T.copy())
         assert np.array_equal(zhat, ref_zhat)
         assert np.array_equal(eps, ref_eps.T)
+
+    def test_exogenous_term_independent_of_row_position(self):
+        """A row's projection has the same bits wherever it sits in the
+        table, so a part and its gathered windows agree byte for byte."""
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(200, 6))
+        beta = rng.normal(size=6)
+        order = rng.permutation(200)
+        xcols = [rows[:, j] for j in range(6)]
+        moved = [rows[order, j] for j in range(6)]
+        all_rows = np.arange(200)[None, :]
+        assert (lin._exog_term(beta, xcols, all_rows)[0][order].tobytes()
+                == lin._exog_term(beta, moved, all_rows)[0].tobytes())
 
 
 class TestResidualJacobian:
@@ -368,20 +386,102 @@ class TestResidualJacobian:
     def test_forward_mode_matches_central_differences(self, p, d, q):
         rng = np.random.default_rng(3)
         ds = ds_from(rng.normal(size=(40, 9, 3)), rng.normal(size=40), tf=1)
-        z, zy, xt, x_last = _window_diff_parts(ds, d)
-        vec = rng.normal(scale=0.3, size=1 + p + q + (ds.n - 1))
-        _, _, eps = _css_parts(vec, p, q, z, zy, xt, x_last)
-        jac = _residual_jacobian(vec, p, q, z, eps, xt, x_last)
-        assert jac.shape == (vec.size, ds.m)
-        h = 1e-6
-        num = np.zeros_like(jac)
-        for k in range(vec.size):
-            vp, vm = vec.copy(), vec.copy()
-            vp[k] += h
-            vm[k] -= h
-            num[k] = (
-                _css_parts(vp, p, q, z, zy, xt, x_last)[1]
-                - _css_parts(vm, p, q, z, zy, xt, x_last)[1]
-            ) / (2 * h)
-        rel = np.abs(jac - num) / np.maximum(np.abs(jac) + np.abs(num), 1e-8)
-        assert rel.max() < 1e-6
+        # and unsorted, repeated start rows into the same table
+        for part in (ds, ds.subset(rng.integers(0, ds.m, size=ds.m))):
+            z, zy, xcols, at = _window_diff_parts(part, d)
+            vec = rng.normal(scale=0.3, size=1 + p + q + (part.n - 1))
+            _, _, eps = _css_parts(vec, p, q, z, zy, xcols, at)
+            jac = _residual_jacobian(vec, p, q, z, eps, xcols, at)
+            assert jac.shape == (vec.size, part.m)
+            h = 1e-6
+            num = np.zeros_like(jac)
+            for k in range(vec.size):
+                vp, vm = vec.copy(), vec.copy()
+                vp[k] += h
+                vm[k] -= h
+                num[k] = (
+                    _css_parts(vp, p, q, z, zy, xcols, at)[1]
+                    - _css_parts(vm, p, q, z, zy, xcols, at)[1]
+                ) / (2 * h)
+            rel = np.abs(jac - num) / np.maximum(np.abs(jac) + np.abs(num), 1e-8)
+            assert rel.max() < 1e-6
+            out = np.full_like(jac, np.nan)
+            assert _residual_jacobian(vec, p, q, z, eps, xcols, at, out=out) is out
+            assert np.array_equal(out, jac)
+
+
+def shared_table_ds(m=120, l=8, n=4, tf=1, seed=0):
+    """Windows over one shared table of m + l rows, as preprocessing
+    cuts them."""
+    rng = np.random.default_rng(seed)
+    return WindowedDataset(rows=rng.normal(size=(m + l, n)), starts=np.arange(m),
+                           targets=rng.normal(size=m), l=l, n=n, target_feature=tf)
+
+
+def fit_both(ds, d):
+    """Each linear predictor with a model fitted on ``ds``."""
+    return [(predict_linear_batch, fit_linear(ds)), (predict_arimax_batch, fit_arimax(ds, 1, d, 1))]
+
+
+class TestDatasetInput:
+    """Both linear predictors read a ``WindowedDataset`` through its start
+    rows, and give the same bytes as for its gathered ``windows``."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("starts", ["sorted", "unsorted", "repeated"])
+    def test_dataset_and_its_windows_give_the_same_bytes(self, d, n, starts):
+        ds = shared_table_ds(n=n, tf=n - 1, seed=d)
+        rng = np.random.default_rng(n)
+        pick = {"sorted": np.arange(10, 90), "unsorted": rng.permutation(ds.m)[:70],
+                "repeated": rng.integers(0, ds.m, size=ds.m)}[starts]
+        part = ds.subset(pick)
+        for predict, model in fit_both(ds, d):
+            got = predict(model, part)
+            assert got.shape == (part.m,)
+            assert got.tobytes() == predict(model, part.windows).tobytes()
+
+    def test_model_target_feature_is_used(self):
+        ds = shared_table_ds(tf=2, seed=4)
+        other = WindowedDataset(rows=ds.rows, starts=ds.starts, targets=ds.targets,
+                                l=ds.l, n=ds.n, target_feature=0)
+        for predict, model in fit_both(ds, 1):
+            assert predict(model, other).tobytes() == predict(model, ds).tobytes()
+
+    def test_wrong_feature_count_rejected(self):
+        ds = shared_table_ds(n=4)
+        wide = shared_table_ds(n=5)
+        for predict, model in fit_both(ds, 1):
+            for bad in (wide, wide.windows):
+                with pytest.raises(InvalidArgumentError):
+                    predict(model, bad)
+
+    def test_window_too_short_for_the_order_rejected(self):
+        model = fit_arimax(shared_table_ds(l=8), 2, 1, 0)  # needs 3 rows a window
+        short = shared_table_ds(l=2)
+        for bad in (short, short.windows):
+            with pytest.raises(InvalidArgumentError):
+                predict_arimax_batch(model, bad)
+
+
+class TestArimaxMemory:
+    """The ARIMAX fit and its predictions read the shared table through
+    start rows: no stage holds an (m, l, n) or (nex, m, l) stack."""
+
+    l, n = 8, 16
+    m = 16384  # windows of 16 MiB over a table of m + l rows
+
+    def traced_peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fit_and_predict_peak_below_the_windows_bytes(self):
+        ds = shared_table_ds(m=self.m, l=self.l, n=self.n, tf=0, seed=1)
+        window_bytes = ds.m * ds.l * ds.n * 8
+        model = fit_arimax(ds, 2, 0, 1)
+        assert self.traced_peak(lambda: fit_arimax(ds, 2, 0, 1)) < 1.5 * window_bytes
+        assert self.traced_peak(lambda: predict_arimax_batch(model, ds)) < window_bytes

@@ -2,18 +2,26 @@
 """End-to-end demonstration on the seeded synthetic dataset.
 
 Generates measurements, runs the preprocessing pipeline, trains every
-forecaster plus the ensemble variants, and prints three comparison
-tables: single models, ensembles, and the low-variance filter sweep.
-Like every ``trackcast`` command it holds numpy's OpenBLAS to one
-thread, so the tables do not depend on the core count.
+forecaster plus the ensemble variants, and prints comparison tables:
+single models, the spread of the network repeats, ensembles, and the
+low-variance filter sweep.  As in the paper, each network trains
+``REPEATS`` times from different random initializations, in rows
+``lstm-1`` … ``cnn-3``: repeat 1 uses the configured training seed and
+the others seeds derived from it (``rng.derive_seed``).  Each
+architecture also gets a row of column means.  Like every ``trackcast``
+command it holds numpy's OpenBLAS to one thread, so the tables do not
+depend on the core count.
 The settings are one config checked by the CLI's schema, and every
-model trains through the CLI's model dispatch, so each row holds the
-metrics ``trackcast run`` would report for that config.
+model trains through the CLI's model dispatch.  Only the sweep filters
+the train part, so each single-model row (``lstm-1`` and not its other
+repeats) holds the metrics ``trackcast run`` reports for that config
+without its ``filter`` section.
 
 With default settings this takes a few minutes on one core; use
 --rows/--epochs/--members to trade fidelity for speed.
 """
 import argparse
+import statistics
 import time
 from dataclasses import replace
 
@@ -22,24 +30,21 @@ from trackcast.ensemble import EnsembleConfig
 from trackcast.ingest import SynthConfig, generate_synthetic
 from trackcast.neural import _one_blas_thread
 from trackcast.preprocess import PreprocessConfig, run_preprocess
+from trackcast.rng import derive_seed
+
+REPEATS = 3  # random initializations per network, as in the paper
+METRICS_HEADER = ("model", "train mse", "train mae", "val mse", "val mae",
+                  "test mse", "test mae")
 
 
 def metrics_row(name, entry):
-    cells = [name]
-    for part in ("train", "val", "test"):
-        pair = entry["metrics"][part]
-        cells += [f"{pair['mse']:.6f}", f"{pair['mae']:.6f}"]
-    return cells
+    return [name, *(entry["metrics"][part][k] for part in ("train", "val", "test")
+                    for k in ("mse", "mae"))]
 
 
-def print_table(title, rows):
-    header = ["model", "train mse", "train mae", "val mse", "val mae",
-              "test mse", "test mae"]
-    rows = [header] + rows
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+def print_table(title, header, rows):
     print(f"\n== {title} ==")
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    cli._print_table(header, rows)
 
 
 def main():
@@ -77,14 +82,24 @@ def main():
     print(f"dropped constant columns: {', '.join(audit.dropped_constant_columns) or 'none'}")
     print(f"dropped weak features: {', '.join(audit.dropped_features) or 'none'}")
 
-    rows = [metrics_row("lr", train("lr", split))]
+    rows = [metrics_row("lr", train("lr", split)) + [None]]
     entry = train("arima", split)
-    rows.append(metrics_row("arima({},{},{})".format(*entry["details"]["order"]), entry))
+    rows.append(metrics_row("arima({},{},{})".format(*entry["details"]["order"]), entry) + [None])
+    spread = []
     for arch in ("lstm", "gru", "cnn"):
-        entry = train(arch, split)
-        label = f"{arch} (ep {entry['trace']['best_epoch']}/{entry['trace']['stopped_epoch']})"
-        rows.append(metrics_row(label, entry))
-    print_table("single models", rows)
+        seed = cli._model_setting(cfg, arch, pre_cfg.window_width).seed
+        seeds = [seed] + [derive_seed(seed, r) for r in range(2, REPEATS + 1)]
+        runs = [train(arch, split, seed=s) for s in seeds]
+        reps = [metrics_row(f"{arch}-{r}", e) + [e["trace"]["best_epoch"]]
+                for r, e in enumerate(runs, 1)]
+        means = [statistics.fmean(col) for col in zip(*(row[1:] for row in reps))]
+        rows += reps + [[f"{arch} mean", *means]]
+        test_mse = [e["metrics"]["test"]["mse"] for e in runs]
+        epochs = ", ".join("{best_epoch}/{stopped_epoch}".format(**e["trace"]) for e in runs)
+        spread.append([arch, min(test_mse), max(test_mse), epochs])
+    print_table("single models", (*METRICS_HEADER, "best epoch"), rows)
+    print_table(f"network repeats ({REPEATS} seeds)",
+                ("model", "test mse min", "test mse max", "best/stopped epochs"), spread)
 
     # the mean and the stacked rows train the same members (same seeds)
     rows = []
@@ -94,16 +109,16 @@ def main():
         rows.append(metrics_row(f"bagging x{args.members} ({tag})", entry))
     entry = train("cnn", split, EnsembleConfig("boosting", args.members, 0.05), seed=2)
     rows.append(metrics_row(f"boosting x{entry['ensemble']['member_count']} (thr 0.05)", entry))
-    print_table("ensembles (cnn base)", rows)
+    print_table("ensembles (cnn base)", METRICS_HEADER, rows)
 
-    print("\n== low-variance filter sweep (lr) ==")
-    print("proportion  discarded  train_size  train_mse  test_mse")
+    rows = []
     for prop in (0.0, 0.2, 0.5, 0.8):
         fsplit, faudit = run_preprocess(table, pre_cfg, cli._filter_config(cfg, prop))
         metrics = train("lr", fsplit)["metrics"]
-        print(f"{prop:<10.1f}  {faudit.filter['discarded']:<9d}  "
-              f"{fsplit.train.m:<10d}  {metrics['train']['mse']:<9.6f}  "
-              f"{metrics['test']['mse']:.6f}")
+        rows.append([prop, faudit.filter["discarded"], fsplit.train.m,
+                     metrics["train"]["mse"], metrics["test"]["mse"]])
+    print_table("low-variance filter sweep (lr)",
+                ("proportion", "discarded", "train_size", "train_mse", "test_mse"), rows)
 
     print(f"\ntotal {time.perf_counter() - t0:.1f}s")
 

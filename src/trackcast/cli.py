@@ -27,16 +27,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import ensemble as ens
 from . import linear as lin
 from . import neural as net
-from .core import SplitSet, evaluate_metrics
+from .core import SplitSet, checked, evaluate_metrics, field_types
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -61,44 +59,19 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 MODEL_NAMES = ("lr", "arima", "lstm", "gru", "cnn")
 _NET_SIZES = ("hidden_size", "kernel_count", "kernel_width")
-
-
-def _hints(cls) -> dict:
-    """Field name -> declared type of a config dataclass."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-_NET_HINTS = _hints(net.NetworkConfig)
+_NET_HINTS = field_types(net.NetworkConfig)
 # section -> key -> type: each section's keys are the fields of the
 # dataclass it sets; "model" also names the models and the ARIMA order
 _SCHEMA = {
-    "synth": _hints(SynthConfig),
-    "data": _hints(CsvSchema),
-    "preprocess": _hints(PreprocessConfig),
-    "filter": _hints(FilterConfig),
+    "synth": field_types(SynthConfig),
+    "data": field_types(CsvSchema),
+    "preprocess": field_types(PreprocessConfig),
+    "filter": field_types(FilterConfig),
     "model": {"models": list[str], "arima_order": tuple[int, int, int],
               **{k: _NET_HINTS[k] for k in _NET_SIZES}},
-    "ensemble": _hints(ens.EnsembleConfig),
+    "ensemble": field_types(ens.EnsembleConfig),
     "train": {k: t for k, t in _NET_HINTS.items() if k != "arch" and k not in _NET_SIZES},
 }
-
-
-def _accepts(hint, value) -> bool:
-    """Whether a decoded JSON value has the type a field declares: an
-    integer (not a boolean) for int, an integer or a float for float, a
-    list of the right length for a tuple."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return any(_accepts(a, value) for a in args)
-    if origin is list:
-        return isinstance(value, list) and all(_accepts(args[0], v) for v in value)
-    if origin is tuple:
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(_accepts(a, v) for a, v in zip(args, value)))
-    if hint is float:
-        return type(value) in (int, float)
-    return type(value) is hint
 
 
 def _check_config(cfg) -> dict:
@@ -116,10 +89,10 @@ def _check_config(cfg) -> dict:
                 f"unknown keys in config section {section!r}: {sorted(unknown)}"
             )
         for key, value in body.items():
-            hint = _SCHEMA[section][key]
-            if not _accepts(hint, value):
-                name = hint.__name__ if isinstance(hint, type) else str(hint)
-                raise ConfigError(f"{section}.{key} must be {name}, got {json.dumps(value)}")
+            try:
+                checked(_SCHEMA[section][key], value, f"{section}.{key}")
+            except TypeError as exc:
+                raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -315,6 +288,14 @@ def _print_table(header, rows) -> None:
         print("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
 
 
+def _report_failures(errors: dict, failure_codes: set) -> int:
+    """One sorted ``<key>: <reason>`` stderr line per failed fit, and the
+    exit code: the lowest failure code, else success."""
+    for key in sorted(errors):
+        print(f"{key}: {errors[key]}", file=sys.stderr)
+    return min(failure_codes, default=EXIT_OK)
+
+
 def _effective_config(cfg: dict, overrides: dict) -> dict:
     echo = json.loads(json.dumps(cfg))
     echo["_overrides"] = {k: v for k, v in overrides.items() if v not in (None, False)}
@@ -386,9 +367,7 @@ def cmd_run(args) -> int:
     write_report(report, os.path.join(args.out_dir, "report.json"))
     _print_table(("model", "split", "mse", "mae"),
                  [(name, *m) for name in sorted(entries) for m in _part_metrics(entries[name])])
-    for name in sorted(errors):
-        print(f"{name}: {errors[name]}", file=sys.stderr)
-    return min(failure_codes, default=EXIT_OK)
+    return _report_failures(errors, failure_codes)
 
 
 def _parse_proportions(raw: str) -> list[float]:
@@ -454,7 +433,7 @@ def cmd_filter_sweep(args) -> int:
     write_report(report, args.out)
     header = ("proportion", "discarded", "train_mse", "val_mse", "test_mse")
     _print_table(header, [[row[k] for k in header] for row in rows])
-    return min(failure_codes, default=EXIT_OK)
+    return _report_failures(errors, failure_codes)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,13 +1,17 @@
-"""Shared data types and error metrics.
+"""Shared data types, error metrics, and the type rule for JSON values.
 
 Tables hold raw rows straight from a CSV; windowed datasets mark the
 fixed-length slices the forecasters consume.  Both are immutable after
-construction (their arrays are marked read-only).
+construction (their arrays are marked read-only).  Config files and
+artifact manifests check each decoded value against its declared type
+with one rule, ``checked``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+import json
+from dataclasses import dataclass, fields
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -95,9 +99,6 @@ class RawTable:
             target_column=remap[self.target_column],
         )
 
-    def with_rows(self, rows: np.ndarray) -> "RawTable":
-        return replace(self, rows=rows)
-
 
 @dataclass(frozen=True, init=False)
 class WindowedDataset:
@@ -156,6 +157,18 @@ class WindowedDataset:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "target_feature", tf)
+
+    @classmethod
+    def of(cls, data) -> "WindowedDataset":
+        """A dataset as it is, or an (m, l, n) array of windows as a dataset
+        over its own rows with zero targets (no copy when the array is
+        float64 and C-ordered): the one way windows enter a predictor."""
+        if isinstance(data, cls):
+            return data
+        w = np.asarray(data, dtype=np.float64)
+        if w.ndim != 3:
+            raise InvalidArgumentError("windows must have shape (m, l, n)")
+        return cls(windows=w, targets=np.zeros(w.shape[0]), l=w.shape[1], n=w.shape[2])
 
     @property
     def m(self) -> int:
@@ -298,3 +311,34 @@ def _centered_sums(xa: np.ndarray, ya: np.ndarray) -> tuple[float, float, float]
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     return float(dx @ dx), float(dy @ dy), float(dx @ dy)
+
+
+def field_types(cls) -> dict:
+    """Field name -> declared type of a dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def accepts(hint, value) -> bool:
+    """Whether a decoded JSON value has the type a field declares: an
+    integer (not a boolean) for int, an integer or a float for float, a
+    list of the right length for a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(accepts(a, value) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(accepts(args[0], v) for v in value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(accepts(a, v) for a, v in zip(args, value)))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
+def checked(hint, value, what: str):
+    """``value``, if ``accepts(hint, value)``; else TypeError naming ``what``."""
+    if not accepts(hint, value):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise TypeError(f"{what} must be {name}, got {json.dumps(value)}")
+    return value

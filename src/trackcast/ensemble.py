@@ -114,18 +114,14 @@ def _train_member(cfg: NetworkConfig, seed: int, train_ds, val_ds):
 def _train_bagging_member(cfg, member_index, ds, val_ds):
     """One bagging member: bootstrap resample plus training, with a
     single retry on numeric divergence."""
-    retried = False
     for attempt in (0, 1):
         seed = derive_seed(cfg.seed, member_index, attempt)
         sample = bootstrap_sample(ds, ds.m, derive_seed(seed, 0))
         try:
-            params, trace = _train_member(cfg, seed, sample, val_ds)
-            return params, trace, retried
+            return (*_train_member(cfg, seed, sample, val_ds), attempt == 1)
         except NumericDivergenceError:
             if attempt == 1:
                 raise
-            retried = True
-    raise AssertionError("unreachable")
 
 
 def train_bagging(

@@ -12,7 +12,7 @@ and produce matching predictions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,20 +113,12 @@ def predict_linear_batch(model: LinearModel, data) -> np.ndarray:
 
 
 def _as_dataset(model, data) -> WindowedDataset:
-    """``data``, a ``WindowedDataset`` or an (m, l, n) array of windows, as
-    a dataset with the model's target feature.  An array becomes one over
-    its own rows, with zero targets, without a copy when it is float64
-    and C-ordered; a dataset keeps its table."""
-    if not isinstance(data, WindowedDataset):
-        w = np.asarray(data, dtype=np.float64)
-        if w.ndim != 3:
-            raise InvalidArgumentError("windows must have shape (m, l, n)")
-        data = WindowedDataset(windows=w, targets=np.zeros(w.shape[0]), l=w.shape[1],
-                               n=w.shape[2])
-    if data.n != model.n_features:
+    """``WindowedDataset.of(data)``, checked against the model's feature
+    count and carrying the model's target feature."""
+    ds = WindowedDataset.of(data)
+    if ds.n != model.n_features:
         raise InvalidArgumentError(f"windows must have {model.n_features} feature columns")
-    return WindowedDataset(rows=data.rows, starts=data.starts, targets=data.targets,
-                           l=data.l, n=data.n, target_feature=model.target_feature)
+    return replace(ds, target_feature=model.target_feature)
 
 
 def undifference(last_values, forecast: float, d: int) -> float:

@@ -463,30 +463,23 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
     """Predictions for an (m, l, n) stack of windows or a
     ``WindowedDataset``, in order.
 
-    Windows run in chunks of ``_PREDICT_CHUNK``: views of an array, or
-    gathered from a dataset's ``starts`` by the call that predicts the
-    chunk, so a dataset's windows are never all held at once.  With two
-    chunks or more, two usable cores or more, and numpy's OpenBLAS
+    An array is made a dataset by ``WindowedDataset.of``; each chunk of
+    ``_PREDICT_CHUNK`` windows is gathered from ``starts`` by the call
+    that predicts it, so the windows are never all held at once.  With
+    two chunks or more, two usable cores or more, and numpy's OpenBLAS
     found, the chunks run in parallel (``_parallel_forward``); otherwise
     one after another.  The same windows in the same chunks give the
     same bytes either way, from an array or a dataset; a window in
     another chunk, or alone, agrees within rounding, since its bits can
     depend on its row in the chunk through BLAS kernels.
     """
-    if isinstance(windows, WindowedDataset):
-        m = windows.m
-        _check_batch(params, (m, windows.l, windows.n))
-        chunk = lambda a: windows.gather(slice(a, a + _PREDICT_CHUNK))
-    else:
-        x = np.asarray(windows, dtype=np.float64)
-        _check_batch(params, x.shape)
-        m = x.shape[0]
-        chunk = lambda a: x[a : a + _PREDICT_CHUNK]
-    if m == 0:
+    ds = WindowedDataset.of(windows)
+    _check_batch(params, (ds.m, ds.l, ds.n))
+    if ds.m == 0:
         return np.empty(0)
     fwd = _FORWARD[params.arch]
-    run = lambda a: fwd(params, chunk(a), False)[0]
-    chunk_starts = range(0, m, _PREDICT_CHUNK)
+    run = lambda a: fwd(params, ds.gather(slice(a, a + _PREDICT_CHUNK)), False)[0]
+    chunk_starts = range(0, ds.m, _PREDICT_CHUNK)
     if len(chunk_starts) < 2 or _usable_cores() < 2 or _openblas_threads() is None:
         return np.concatenate([run(a) for a in chunk_starts])
     return np.concatenate(_parallel_forward(run, chunk_starts))

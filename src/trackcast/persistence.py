@@ -13,11 +13,12 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field, fields
-from typing import Any, get_type_hints
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
+from .core import checked, field_types
 from .ensemble import Combiner, EnsembleModel
 from .errors import IntegrityError, InvalidArgumentError, UnsupportedVersionError
 from .linear import ArimaxModel, LinearModel
@@ -38,7 +39,27 @@ def _scalar(a: np.ndarray) -> float:
     return float(np.asarray(a).ravel()[0])
 
 
+def _read(node, types: dict) -> dict:
+    """The value at each key of ``types`` in a decoded JSON object, each
+    checked against its declared type (``core.checked``): KeyError for a
+    missing key, TypeError for a wrong type or a node that is no object."""
+    return {key: checked(hint, node[key], key) for key, hint in types.items()}
+
+
 _NETWORK_SIZES = ("n_features", "window_len", "hidden_size", "kernel_count", "kernel_width")
+
+
+def _types(cls, *names) -> dict:
+    """Name -> declared type of the ``names`` fields of ``cls``."""
+    return {k: t for k, t in field_types(cls).items() if k in names}
+
+
+_NETWORK_META = {**_types(NetworkParams, "arch", *_NETWORK_SIZES), "tensor_order": list[str]}
+_ENSEMBLE_META = {**_types(EnsembleModel, "method", "boost_threshold"),
+                  "members": list[dict], "combiner": dict}
+_COMBINER_META = _types(Combiner, "kind", "fallback_reason")
+_HEADER = {"payload_bytes": int, "payload_crc32": int, "arrays": list[dict]}
+_ARRAY_ENTRY = {"name": str, "shape": list[int]}
 
 
 def _network_manifest(params: NetworkParams, prefix: str = ""):
@@ -48,8 +69,9 @@ def _network_manifest(params: NetworkParams, prefix: str = ""):
 
 
 def _network_from_manifest(meta, lookup, prefix: str = "") -> NetworkParams:
+    meta = _read(meta, _NETWORK_META)
     tensors = {name: lookup[prefix + name] for name in meta["tensor_order"]}
-    sizes = (int(meta[k]) for k in _NETWORK_SIZES)
+    sizes = (meta[k] for k in _NETWORK_SIZES)
     return NetworkParams.from_tensors(meta["arch"], *sizes, tensors)
 
 
@@ -76,11 +98,12 @@ def _ensemble_manifest(model: EnsembleModel):
 
 
 def _ensemble_from_manifest(meta, lookup) -> EnsembleModel:
+    meta = _read(meta, _ENSEMBLE_META)
     members = tuple(
         _network_from_manifest(m_meta, lookup, prefix=f"member{i}/")
         for i, m_meta in enumerate(meta["members"])
     )
-    c_meta = meta["combiner"]
+    c_meta = _read(meta["combiner"], _COMBINER_META)
     if c_meta["kind"] == "stacker":
         combiner = Combiner(
             kind="stacker",
@@ -89,7 +112,7 @@ def _ensemble_from_manifest(meta, lookup) -> EnsembleModel:
             fallback_reason=c_meta["fallback_reason"],
         )
     else:
-        combiner = Combiner(kind="mean", fallback_reason=c_meta["fallback_reason"])
+        combiner = Combiner(kind=c_meta["kind"], fallback_reason=c_meta["fallback_reason"])
     threshold = meta["boost_threshold"]
     return EnsembleModel(
         members=members,
@@ -102,17 +125,18 @@ def _ensemble_from_manifest(meta, lookup) -> EnsembleModel:
 def _fields_manifest(cls, arrays: tuple[str, ...]):
     """(to_manifest, from_manifest) for a model dataclass whose ``arrays``
     fields are the payload, in that order, and every other field is meta.
-    Loading reads the class's fields, not the manifest's keys, and casts
-    each meta value and scalar array to its field's type."""
-    hints = get_type_hints(cls)
-    meta_names = [f.name for f in fields(cls) if f.name not in arrays]
+    Loading reads the class's fields, not the manifest's keys, checks
+    each meta value against its field's type, and casts it (an int to a
+    float field's float) and each scalar array to that type."""
+    hints = field_types(cls)
+    meta_types = {name: hint for name, hint in hints.items() if name not in arrays}
 
     def to_manifest(model):
-        meta = {name: hints[name](getattr(model, name)) for name in meta_names}
+        meta = {name: hint(getattr(model, name)) for name, hint in meta_types.items()}
         return meta, [(name, np.asarray(getattr(model, name))) for name in arrays]
 
     def from_manifest(meta, lookup):
-        values = {name: hints[name](meta[name]) for name in meta_names}
+        values = {name: hints[name](v) for name, v in _read(meta, meta_types).items()}
         for name in arrays:
             values[name] = _scalar(lookup[name]) if hints[name] is float else lookup[name]
         return cls(**values)
@@ -172,7 +196,9 @@ def load_model(path):
     A damaged artifact raises IntegrityError (UnsupportedVersionError for
     an unknown format version or model kind), whatever part is damaged:
     magic, lengths, checksum, or a manifest with missing, wrong-typed or
-    inconsistent fields."""
+    inconsistent fields.  Every manifest value is checked against its
+    declared type by the rule config files are read by (``core.checked``):
+    an integer for an int field, never a boolean, a float or a string."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -200,17 +226,18 @@ def _model_from_blob(blob: bytes):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"unreadable artifact header: {exc}") from None
     payload = blob[16 + header_len :]
-    if len(payload) != header["payload_bytes"]:
+    checks = _read(header, _HEADER)
+    if len(payload) != checks["payload_bytes"]:
         raise IntegrityError(
-            f"payload length mismatch: expected {header['payload_bytes']} bytes,"
+            f"payload length mismatch: expected {checks['payload_bytes']} bytes,"
             f" found {len(payload)}"
         )
-    if zlib.crc32(payload) != header["payload_crc32"]:
+    if zlib.crc32(payload) != checks["payload_crc32"]:
         raise IntegrityError("payload checksum mismatch")
     lookup = {}
     offset = 0
-    for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
+    for entry in (_read(e, _ARRAY_ENTRY) for e in checks["arrays"]):
+        shape = tuple(entry["shape"])
         if any(s < 0 for s in shape):
             raise IntegrityError(f"array {entry['name']!r} has a negative dimension")
         nbytes = math.prod(shape) * 8

@@ -123,7 +123,7 @@ def remove_outliers_zscore(table: RawTable, threshold: float) -> tuple[RawTable,
     if removed.size == 0:
         return table, removed
     keep = np.setdiff1d(np.arange(table.n_rows), removed, assume_unique=True)
-    return table.with_rows(table.rows[keep]), removed
+    return replace(table, rows=table.rows[keep]), removed
 
 
 def select_features(table: RawTable, threshold: float | None = None) -> tuple[RawTable, dict]:
@@ -180,7 +180,7 @@ def apply_scaler(table: RawTable, params: ScalingParams) -> RawTable:
             rows[:, col] = (rows[:, col] / 2 - lo / 2) / (hi / 2 - lo / 2)
         else:
             rows[:, col] = (rows[:, col] - lo) / span
-    return table.with_rows(rows)
+    return replace(table, rows=rows)
 
 
 def _run_bounds(table: RawTable) -> list[tuple[int, int]]:

@@ -780,7 +780,10 @@ class TestFilterSweep:
         assert sorted(doc["errors"]) == ["proportion=0.0", "proportion=0.5"]
         assert all(e.startswith("ill-posed fit: ") and "cannot determine" in e
                    for e in doc["errors"].values())
-        assert "config error" not in capsys.readouterr().err
+        # one stderr line per failed proportion, sorted, as ``run`` prints them
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{k}: {doc['errors'][k]}" for k in sorted(doc["errors"])]
+        assert "config error" not in err
 
     def test_ill_posed_and_divergence_exit_with_the_lower_code(self, cli_workspace, tmp_path,
                                                                monkeypatch):

@@ -11,6 +11,8 @@ from trackcast.core import (
     RawTable,
     SplitSet,
     WindowedDataset,
+    accepts,
+    checked,
     evaluate_metrics,
     pearson,
 )
@@ -132,6 +134,50 @@ class TestWindowedDataset:
         ds = self._ds()
         with pytest.raises(ValueError):
             ds.windows[0, 0, 0] = 1.0
+
+    def test_of_returns_a_dataset_as_it_is(self):
+        ds = self._ds(tf=2)
+        assert WindowedDataset.of(ds) is ds
+
+    def test_of_wraps_an_array_without_a_copy(self):
+        w = np.random.default_rng(2).normal(size=(5, 4, 3))
+        ds = WindowedDataset.of(w)
+        assert (ds.m, ds.l, ds.n, ds.target_feature) == (5, 4, 3, 0)
+        assert np.shares_memory(ds.rows, w) and not ds.targets.any()
+        assert np.array_equal(ds.windows, w)
+
+    @pytest.mark.parametrize("make", [lambda w: w.astype(np.float32),
+                                      lambda w: np.asfortranarray(w),
+                                      lambda w: w.tolist()])
+    def test_of_copies_other_layouts(self, make):
+        w = np.random.default_rng(3).normal(size=(5, 4, 3))
+        ds = WindowedDataset.of(make(w))
+        assert ds.rows.flags.c_contiguous
+        assert np.array_equal(ds.windows, np.asarray(make(w), dtype=np.float64))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3, 1), ()])
+    def test_of_rejects_an_array_that_is_not_3d(self, shape):
+        with pytest.raises(InvalidArgumentError, match=r"\(m, l, n\)"):
+            WindowedDataset.of(np.zeros(shape))
+
+
+class TestJsonTypes:
+    @pytest.mark.parametrize("hint,value,ok", [
+        (int, 3, True), (int, True, False), (int, 3.0, False), (int, "3", False),
+        (float, 3, True), (float, 2.5, True), (float, False, False), (float, "nan", False),
+        (bool, False, True), (bool, 0, False), (str, "a", True), (str, None, False),
+        (float | None, None, True), (float | None, "0.2", False),
+        (list[int], [1, 2], True), (list[int], [1.0], False), (list[int], 1, False),
+        (tuple[int, int], [1, 2], True), (tuple[int, int], [1], False),
+        (dict, {}, True), (dict, [], False),
+    ])
+    def test_accepts(self, hint, value, ok):
+        assert accepts(hint, value) is ok
+
+    def test_checked_names_the_field(self):
+        assert checked(int, 3, "p") == 3
+        with pytest.raises(TypeError, match=r'^model\.p must be int, got "3"$'):
+            checked(int, "3", "model.p")
 
 
 class TestSplitSet:

@@ -413,7 +413,7 @@ class TestParallelPredict:
 
         def forward(params, x, need_cache):
             seen.append((get_threads(), threading.current_thread() is threading.main_thread()))
-            if fails and np.shares_memory(x, windows[:1]):
+            if fails and np.array_equal(x, windows[: neural._PREDICT_CHUNK]):
                 raise RuntimeError("forward failed")  # the first chunk, at once
             time.sleep(0.05)  # the other chunks are still running by then
             out = real(params, x, need_cache)
@@ -422,7 +422,7 @@ class TestParallelPredict:
 
         monkeypatch.setitem(neural._FORWARD, "gru", forward)
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
-        windows = ds.windows  # gathered once: each chunk is a view of it
+        windows = ds.windows  # each chunk is a gathered copy: found by value
         p = init_params(small_cfg("gru"), ds.n, ds.l)
         before = get_threads()
         set_threads(2)  # a restore to 1 would not show in a one-thread session

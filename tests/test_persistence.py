@@ -4,13 +4,14 @@ import json
 import os
 import tempfile
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trackcast.core import WindowedDataset
+from trackcast.core import WindowedDataset, accepts
 from trackcast.ensemble import (
     Combiner,
     EnsembleModel,
@@ -26,13 +27,15 @@ from trackcast.errors import (
     UnsupportedVersionError,
 )
 from trackcast.linear import (
+    ArimaxModel,
+    LinearModel,
     fit_arimax,
     fit_linear,
     predict_arimax_batch,
     predict_linear_batch,
 )
 from trackcast import persistence
-from trackcast.neural import NetworkConfig, init_params, predict_batch
+from trackcast.neural import NetworkConfig, NetworkParams, init_params, predict_batch
 from trackcast.persistence import (
     FORMAT_VERSION,
     MAGIC,
@@ -292,10 +295,57 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match="InvalidArgumentError"):
             load_model(path)
 
+    @pytest.mark.parametrize("which,path,value", [
+        (1, ("meta", "css_warning"), "false"),
+        (1, ("meta", "p"), 1.9),
+        (1, ("meta", "css_final"), "nan"),
+        (1, ("arrays", 1, "shape"), [1.0]),  # phi, saved as [1]
+        (0, ("meta", "ridge_fallback"), "no"),
+        (3, ("meta", "hidden_size"), 2.0),
+        (3, ("meta", "window_len"), "5"),
+        (5, ("meta", "n_features"), True),  # a 1-feature GRU
+        (4, ("meta", "boost_threshold"), "0.2"),
+        (4, ("meta", "combiner", "fallback_reason"), 7),
+        (4, ("meta", "members", 1, "kernel_width"), 3.0),
+        (4, ("payload_bytes",), float),  # the right length, as a float
+    ])
+    def test_wrong_typed_manifest_value(self, which, path, value):
+        """A value that equals or casts to the saved one, but has another
+        JSON type, is rejected: no loader casts before it checks.  A
+        callable ``value`` maps the saved value to the edited one."""
+        header = _header(_saved_blobs()[which])
+        parent = _node(header, path[:-1])
+        parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+        with pytest.raises(IntegrityError, match="TypeError"):
+            _load_damaged_strict(_with_header(_saved_blobs()[which], header))
+
+    def test_unknown_combiner_kind(self):
+        header = _header(_saved_blobs()[4])
+        header["meta"]["combiner"].update(kind="median")
+        with pytest.raises(IntegrityError, match="InvalidArgumentError"):
+            _load_damaged_strict(_with_header(_saved_blobs()[4], header))
+
+
+def _header(blob: bytes) -> dict:
+    return json.loads(blob[16 : 16 + int.from_bytes(blob[8:16], "little")])
+
+
+def _with_header(blob: bytes, header: dict) -> bytes:
+    """``blob`` with its JSON header replaced and the header length fixed."""
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = blob[16 + int.from_bytes(blob[8:16], "little") :]
+    return blob[:8] + len(new).to_bytes(8, "little") + new + payload
+
+
+def _node(header, path):
+    for key in path:
+        header = header[key]
+    return header
+
 
 @functools.lru_cache(maxsize=None)
 def _saved_blobs() -> tuple[bytes, ...]:
-    """One saved artifact of every model kind."""
+    """One saved artifact of every model kind, then a 1-feature GRU."""
     ds = make_ds(m=24, l=5)
     members = tuple(init_params(fast_cfg(seed=s), ds.n, ds.l) for s in (1, 2))
     models = (
@@ -309,6 +359,7 @@ def _saved_blobs() -> tuple[bytes, ...]:
             method="boosting",
             boost_threshold=0.2,
         ),
+        init_params(fast_cfg(arch="gru", hidden_size=2), 1, ds.l),
     )
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -350,6 +401,39 @@ _JSON_VALUES = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
     max_leaves=5,
 )
+
+
+def _declared_fields() -> list:
+    """(artifact, key path, declared type) of every value a loader reads
+    from a header of ``_saved_blobs``, the types taken from the model
+    dataclasses' annotations; the first array entry and the first
+    ensemble member stand for the others."""
+    net_hints = get_type_hints(NetworkParams)
+    net = [(k, net_hints[k]) for k in ("arch", "n_features", "window_len", "hidden_size",
+                                       "kernel_count", "kernel_width")]
+    net.append(("tensor_order", list[str]))
+    e, c = get_type_hints(EnsembleModel), get_type_hints(Combiner)
+    ensemble = [(("method",), e["method"]), (("boost_threshold",), e["boost_threshold"]),
+                (("members",), list[dict]), (("combiner",), dict),
+                (("combiner", "kind"), c["kind"]),
+                (("combiner", "fallback_reason"), c["fallback_reason"]),
+                *((("members", 0, k), t) for k, t in net)]
+    out = []
+    for which, blob in enumerate(_saved_blobs()):
+        header = _header(blob)
+        fields = [(("payload_bytes",), int), (("payload_crc32",), int),
+                  (("arrays",), list[dict]), (("arrays", 0, "name"), str),
+                  (("arrays", 0, "shape"), list[int])]
+        kind = header["model_kind"]
+        if kind in ("linear", "arimax"):
+            hints = get_type_hints(LinearModel if kind == "linear" else ArimaxModel)
+            fields += [(("meta", k), hints[k]) for k in header["meta"]]
+        elif kind == "network":
+            fields += [(("meta", k), t) for k, t in net]
+        else:
+            fields += [(("meta", *p), t) for p, t in ensemble]
+        out += [(which, path, hint) for path, hint in fields]
+    return out
 
 
 class TestCorruptionFuzz:
@@ -421,6 +505,21 @@ class TestCorruptionFuzz:
                    + new_header + blob[16 + header_len :])
         with pytest.raises(IntegrityError):
             _load_damaged_strict(damaged)
+
+    @pytest.mark.parametrize("which,path,hint", [
+        pytest.param(*case, id=f"{case[0]}-{'.'.join(map(str, case[1]))}")
+        for case in _declared_fields()])
+    @settings(max_examples=15, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_wrong_typed_value_of_any_field(self, which, path, hint, value):
+        """Any manifest field of any artifact kind, set to a value its
+        declared type rejects, fails the load with IntegrityError."""
+        assume(not accepts(hint, value))
+        blob = _saved_blobs()[which]
+        header = _header(blob)
+        _node(header, path[:-1])[path[-1]] = value
+        with pytest.raises(IntegrityError):
+            _load_damaged_strict(_with_header(blob, header))
 
 
 def _load_damaged_strict(blob: bytes) -> None:

@@ -31,6 +31,12 @@ def test_reproduce_tables_runs_small():
                       "--members", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "== " in proc.stdout
+    # the paper's protocol: each network over 3 initializations, a row of
+    # column means, then the network's row in the repeats' spread table
+    labels = [line.split("  ")[0] for line in proc.stdout.splitlines()]
+    for arch in ("lstm", "gru", "cnn"):
+        assert [label for label in labels if label.startswith(arch)] == [
+            f"{arch}-1", f"{arch}-2", f"{arch}-3", f"{arch} mean", arch]
 
 
 def test_reproduce_tables_does_not_depend_on_blas_threads():

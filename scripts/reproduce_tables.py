@@ -9,8 +9,8 @@ low-variance filter sweep.  As in the paper, each network trains
 ``lstm-1`` … ``cnn-3``: repeat 1 uses the configured training seed and
 the others seeds derived from it (``rng.derive_seed``).  Each
 architecture also gets a row of column means.  Like every ``trackcast``
-command it holds numpy's OpenBLAS to one thread, so the tables do not
-depend on the core count.
+command it starts numpy's OpenBLAS with one thread, so the tables do
+not depend on the core count.
 The settings are one config checked by the CLI's schema, and every
 model trains through the CLI's model dispatch.  Only the sweep filters
 the train part, so each single-model row (``lstm-1`` and not its other
@@ -21,14 +21,18 @@ With default settings this takes a few minutes on one core; use
 --rows/--epochs/--members to trade fidelity for speed.
 """
 import argparse
+import os
 import statistics
 import time
 from dataclasses import replace
 
+# one OpenBLAS thread from the start, as in every trackcast command:
+# OpenBLAS reads the count once, when numpy loads
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from trackcast import cli
 from trackcast.ensemble import EnsembleConfig
 from trackcast.ingest import SynthConfig, generate_synthetic
-from trackcast.neural import _one_blas_thread
 from trackcast.preprocess import PreprocessConfig, run_preprocess
 from trackcast.rng import derive_seed
 
@@ -124,5 +128,4 @@ def main():
 
 
 if __name__ == "__main__":
-    with _one_blas_thread():
-        main()
+    main()

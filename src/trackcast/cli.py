@@ -7,9 +7,15 @@ reports, ``filter-sweep`` trains the first model in ``model.models``
 runs with numpy's OpenBLAS held to one thread, so its outputs do not
 depend on the core count, and with malloc and numpy's huge pages
 pinned (``_steady_memory``), so its memory peak does not depend on how
-its threads are scheduled.  The config's keys and value types are read
-from the dataclasses each section sets (``_SCHEMA``); a wrong key or
-type is a configuration problem.
+its threads are scheduled.  Run as a program (``python -m
+trackcast.cli``, or the ``trackcast`` console script through
+``trackcast.__main__``), the process starts OpenBLAS at one thread:
+``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, since workers
+started at the caller's count would never run a product.  Imported as
+a library, the module leaves the environment alone and ``main`` holds
+the thread count only while a command runs.  The config's keys and
+value types are read from the dataclasses each section sets
+(``_SCHEMA``); a wrong key or type is a configuration problem.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O or data-file
 problem (including data with too few rows or windows), 4 numeric
@@ -24,10 +30,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, replace
+
+if __name__ == "__main__":  # before numpy loads; see the module docstring
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -98,20 +108,29 @@ def _check_config(cfg) -> dict:
 
 def load_config(path) -> dict:
     """Parse the UTF-8 JSON config file and check it against the schema.
-    ``NaN`` and ``Infinity``, which Python's json accepts, are not JSON."""
+    ``NaN`` and ``Infinity``, which Python's json accepts, are not JSON,
+    and a number past the float range (``1e400``) is not read as one."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
 
     def reject(name):
         raise ConfigError(f"config file {path} holds {name}, which is not valid JSON")
 
+    def finite(text):
+        value = float(text)
+        if math.isinf(value):
+            raise ConfigError(f"config file {path} holds {text}, past the float range")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=reject)
+            cfg = json.load(fh, parse_constant=reject, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path} is not valid UTF-8") from None
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ConfigError(f"config file {path}: {exc}") from None
     return _check_config(cfg)
 
 

@@ -319,10 +319,18 @@ def field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+def _float_holds(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def accepts(hint, value) -> bool:
     """Whether a decoded JSON value has the type a field declares: an
-    integer (not a boolean) for int, an integer or a float for float, a
-    list of the right length for a tuple."""
+    integer (not a boolean) for int, a float or an integer that a float
+    can hold for float, a list of the right length for a tuple."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         return any(accepts(a, value) for a in args)
@@ -332,7 +340,7 @@ def accepts(hint, value) -> bool:
         return (isinstance(value, list) and len(value) == len(args)
                 and all(accepts(a, v) for a, v in zip(args, value)))
     if hint is float:
-        return type(value) in (int, float)
+        return type(value) is float or type(value) is int and _float_holds(value)
     return type(value) is hint
 
 

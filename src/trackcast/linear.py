@@ -309,6 +309,23 @@ def _refine_css(vec, parts, p, q, z, zy, xcols, at):
     return vec, css, moved
 
 
+def _reflected_ma1(vec, p, z, zy, xcols, at) -> np.ndarray:
+    """The MA(1) start ``vec`` mirrored to the invertible side: theta
+    becomes 1 / theta, and c, phi and beta are re-solved for the least
+    CSS at that theta.  At a fixed theta the forecast residuals are
+    affine in (c, phi, beta) and their Jacobian rows depend only on theta
+    and the data, so one solve of the (k - 1)-square normal equations
+    of those rows is exact."""
+    cand = vec.copy()
+    cand[1 + p] = 1.0 / vec[1 + p]
+    _, r, eps = _css_parts(cand, p, 1, z, zy, xcols, at)
+    jac = _residual_jacobian(cand, p, 1, z, eps, xcols, at)
+    free = np.r_[0 : 1 + p, 2 + p : vec.shape[0]]  # every coordinate but theta
+    a = (jac @ jac.T)[np.ix_(free, free)]
+    cand[free] -= np.linalg.lstsq(a, (jac @ r)[free], rcond=None)[0]
+    return cand
+
+
 def _initial_residuals(z, xcols, at, order: int) -> np.ndarray:
     """Time-major residuals of one long autoregression of the given
     order, with each position's exogenous row, fitted to every in-window
@@ -380,8 +397,18 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     steps (``_refine_css``) use the residuals' Jacobian, accumulated in
     forward mode through the residual recursion, and stop after at most
     100 CSS and Jacobian evaluations.  A step is taken only if it lowers
-    the CSS; if none does, the stage-one estimate is returned with
-    ``css_warning`` set.
+    the CSS; if none does, the start is returned, and ``css_warning`` is
+    set when that start is stage one's estimate.
+
+    The refinement starts from stage one's estimate, except for a
+    non-invertible MA(1): stage one often pairs |theta| > 1 with a
+    near-cancelling AR part (a CSS of 1e10 to 1e25), and the descent
+    then spends most of its evaluations climbing back.  So with q = 1
+    and |theta| > 1 its mirror (``_reflected_ma1``: theta -> 1 / theta,
+    the other coefficients re-solved) is the start when its CSS is the
+    lower.  ``css_initial`` is always stage one's CSS.  With q >= 2 the
+    refinement starts from stage one: reflecting MA(2) roots ended
+    (1,0,2) fits in a worse minimum.
     """
     p, d, q = check_order(p, d, q, ds.l)
     if ds.m == 0:
@@ -402,12 +429,20 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
             f"{m} windows cannot determine {design1.shape[1]} coefficients"
         )
     coef1, *_ = np.linalg.lstsq(design1, zy, rcond=None)
+    del eps0, cols, design1
 
     parts = _css_parts(coef1, p, q, z, zy, xcols, at)
-    vec, css_final, warning = coef1, parts[0], False
+    css_initial = parts[0]
+    vec, css_final, warning = coef1, css_initial, False
+    if q == 1 and abs(coef1[1 + p]) > 1:
+        mirror = _reflected_ma1(coef1, p, z, zy, xcols, at)
+        mirror_parts = _css_parts(mirror, p, q, z, zy, xcols, at)
+        if mirror_parts[0] < css_initial:
+            vec, parts = mirror, mirror_parts
+        del mirror_parts  # the losing start's residuals go before refining
     if q > 0:
-        vec, css_final, moved = _refine_css(coef1, parts, p, q, z, zy, xcols, at)
-        warning = not moved
+        vec, css_final, moved = _refine_css(vec, parts, p, q, z, zy, xcols, at)
+        warning = not moved and vec is coef1
 
     c, phi, theta, beta = _unpack(vec, p, q)
     return ArimaxModel(
@@ -420,7 +455,7 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
         beta=beta.copy(),
         target_feature=ds.target_feature,
         n_features=ds.n,
-        css_initial=parts[0],
+        css_initial=css_initial,
         css_final=css_final,
         css_warning=warning,
     )

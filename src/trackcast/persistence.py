@@ -70,7 +70,7 @@ def _network_manifest(params: NetworkParams, prefix: str = ""):
 
 def _network_from_manifest(meta, lookup, prefix: str = "") -> NetworkParams:
     meta = _read(meta, _NETWORK_META)
-    tensors = {name: lookup[prefix + name] for name in meta["tensor_order"]}
+    tensors = {name: lookup.pop(prefix + name) for name in meta["tensor_order"]}
     sizes = (meta[k] for k in _NETWORK_SIZES)
     return NetworkParams.from_tensors(meta["arch"], *sizes, tensors)
 
@@ -107,8 +107,8 @@ def _ensemble_from_manifest(meta, lookup) -> EnsembleModel:
     if c_meta["kind"] == "stacker":
         combiner = Combiner(
             kind="stacker",
-            weights=tuple(float(w) for w in np.atleast_1d(lookup["stacker_weights"])),
-            bias=_scalar(lookup["stacker_bias"]),
+            weights=tuple(float(w) for w in np.atleast_1d(lookup.pop("stacker_weights"))),
+            bias=_scalar(lookup.pop("stacker_bias")),
             fallback_reason=c_meta["fallback_reason"],
         )
     else:
@@ -138,7 +138,8 @@ def _fields_manifest(cls, arrays: tuple[str, ...]):
     def from_manifest(meta, lookup):
         values = {name: hints[name](v) for name, v in _read(meta, meta_types).items()}
         for name in arrays:
-            values[name] = _scalar(lookup[name]) if hints[name] is float else lookup[name]
+            arr = lookup.pop(name)
+            values[name] = _scalar(arr) if hints[name] is float else arr
         return cls(**values)
 
     return to_manifest, from_manifest
@@ -198,7 +199,9 @@ def load_model(path):
     magic, lengths, checksum, or a manifest with missing, wrong-typed or
     inconsistent fields.  Every manifest value is checked against its
     declared type by the rule config files are read by (``core.checked``):
-    an integer for an int field, never a boolean, a float or a string."""
+    an integer for an int field, never a boolean, a float or a string.
+    Every array the manifest lists must be one the model reads, listed
+    once."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -243,6 +246,8 @@ def _model_from_blob(blob: bytes):
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise IntegrityError(f"array {entry['name']!r} exceeds payload")
+        if entry["name"] in lookup:
+            raise IntegrityError(f"array {entry['name']!r} is listed twice")
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
         lookup[entry["name"]] = arr.astype(np.float64)
         offset += nbytes
@@ -251,7 +256,10 @@ def _model_from_blob(blob: bytes):
     kind, meta = header["model_kind"], header["meta"]
     if not (isinstance(kind, str) and kind in _KINDS):
         raise UnsupportedVersionError(f"unknown model kind {kind!r}")
-    return _KINDS[kind][2](meta, lookup)
+    model = _KINDS[kind][2](meta, lookup)  # each loader pops the arrays it reads
+    if lookup:
+        raise IntegrityError(f"arrays the model does not read: {sorted(lookup)}")
+    return model
 
 
 def _sig6(value: float) -> float:

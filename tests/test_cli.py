@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 
 import numpy as np
@@ -217,6 +219,27 @@ class TestConfigValidatedBeforeData:
         """The config dataclass is the one place each of these rules is
         checked; the stage functions trust the values it passes them."""
         code, out_dir = self._run(cli_workspace, tmp_path, section, body, *extra)
+        assert code == EXIT_CONFIG
+        assert not out_dir.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "1" + "0" * 5000, "1e400"],
+                             ids=["int-400-digits", "int-5000-digits", "1e400"])
+    @pytest.mark.parametrize("section, key, extra", [
+        ("preprocess", "zscore_threshold", ()),
+        ("train", "learning_rate", ("--models", "cnn")),
+    ], ids=["zscore_threshold", "learning_rate"])
+    def test_number_no_float_holds(self, cli_workspace, tmp_path, capsys,
+                                   section, key, extra, number):
+        """A float field given a number past the float range, or an
+        integer with more digits than Python converts, exits 2 with one
+        line: no traceback, and no infinite setting."""
+        cfg = json.loads(json.dumps(cli_workspace["config_dict"]))
+        cfg.setdefault(section, {})[key] = "HUGE"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace('"HUGE"', number))
+        code, out_dir = run_cli(cli_workspace, tmp_path, *extra, config=str(path))
         assert code == EXIT_CONFIG
         assert not out_dir.exists()
         err = capsys.readouterr().err.splitlines()
@@ -1012,6 +1035,55 @@ class TestOneBlasThread:
                             (out_dir / "arima.tckm").read_bytes()))
         assert sorted(os.listdir(out_dir)) == ["arima.tckm", "lr.tckm", "report.json"]
         assert outputs[0] == outputs[1]
+
+
+def _python(code: str, **env) -> str:
+    """Stdout of ``python -c code`` with trackcast's sources on the path
+    and ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def _console_script() -> tuple[str, str]:
+    """(module, function) of the ``trackcast`` script in pyproject.toml."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        found = re.search(r'^trackcast = "([\w.]+):(\w+)"$', fh.read(), re.M)
+    return found.group(1), found.group(2)
+
+
+class TestOneBlasThreadFromStart:
+    """Run as a program, trackcast starts numpy's OpenBLAS with one
+    thread whatever the caller's ``OPENBLAS_NUM_THREADS``; imported, the
+    package loads no numpy and leaves the environment alone."""
+
+    THREADS = "import os\nprint(len(os.listdir('/proc/self/task')))\n"
+
+    def test_import_loads_no_numpy_and_leaves_the_environment(self):
+        out = _python("import os, sys\n"
+                      "before = dict(os.environ)\n"
+                      "import trackcast\n"
+                      "print('numpy' in sys.modules, dict(os.environ) == before)\n",
+                      OPENBLAS_NUM_THREADS="2")
+        assert out.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("entry", ["cli-module", "console-script"])
+    def test_entry_starts_one_openblas_thread(self, entry):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("counts threads in Linux's /proc/self/task")
+        if int(_python("import numpy\n" + self.THREADS, OPENBLAS_NUM_THREADS="2")) < 2:
+            pytest.skip("numpy starts no second OpenBLAS thread here")
+        if entry == "cli-module":  # python -m trackcast.cli
+            run = "import runpy\nrunpy.run_module('trackcast.cli', run_name='__main__')"
+        else:
+            run = "from {0} import {1}\n{1}()".format(*_console_script())
+        out = _python("import sys\nsys.argv = ['trackcast', '--help']\n"
+                      f"try:\n{textwrap.indent(run, '    ')}\nexcept SystemExit:\n    pass\n"
+                      + self.THREADS, OPENBLAS_NUM_THREADS="2")
+        assert out.split()[-1] == "1"
 
 
 class TestSteadyMemory:

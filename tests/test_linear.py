@@ -327,6 +327,45 @@ class TestCssRefinement:
         assert np.array_equal(model.phi, first.phi)
 
 
+class TestMirroredMa1Start:
+    """Order (2, 0, 1) on the 2000-row seed-20 synth table with the
+    benchmark's preprocessing: stage one returns theta = 5.6, CSS 3e11."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """The packed parameters of each CSS and Jacobian evaluation."""
+        calls = []
+        for name in ("_css_parts", "_residual_jacobian"):
+            def spy(vec, *args, _real=getattr(lin, name), **kwargs):
+                calls.append(vec.copy())
+                return _real(vec, *args, **kwargs)
+            monkeypatch.setattr(lin, name, spy)
+        return calls
+
+    def test_mirror_start_ends_invertible_in_fewer_evaluations(self, evaluations):
+        table = generate_synthetic(SynthConfig(n_rows=2000, seed=20))
+        split, _ = run_preprocess(
+            table,
+            PreprocessConfig(window_width=8),
+            FilterConfig(variance_threshold=SWEEP_VARIANCE_THRESHOLD,
+                         discard_proportion=0.2, seed=FILTER_SEED),
+        )
+        model = fit_arimax(split.train, 2, 0, 1)
+        stage_one = evaluations[0]  # the first CSS is stage one's
+        fit_evaluations = len(evaluations)
+        assert abs(stage_one[3]) > 1
+        assert abs(model.theta[0]) < 1
+        assert not model.css_warning
+
+        evaluations.clear()
+        parts = _window_diff_parts(split.train, 0)
+        first = lin._css_parts(stage_one, 2, 1, *parts)
+        _, css_from_stage_one, _ = lin._refine_css(stage_one, first, 2, 1, *parts)
+        assert model.css_initial == first[0]
+        assert fit_evaluations < len(evaluations)
+        assert model.css_final <= css_from_stage_one * (1 + 1e-8)
+
+
 def window_major_forward(c, phi, theta, beta, z, ex):
     """The residual recursion on (m, L) windows-by-position columns, as
     it ran before the time-major layout: the reference for its bits.

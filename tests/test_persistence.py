@@ -1,8 +1,10 @@
 import errno
 import functools
 import json
+import math
 import os
 import tempfile
+import zlib
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -308,6 +310,7 @@ class TestIntegrity:
         (4, ("meta", "combiner", "fallback_reason"), 7),
         (4, ("meta", "members", 1, "kernel_width"), 3.0),
         (4, ("payload_bytes",), float),  # the right length, as a float
+        (1, ("meta", "css_final"), lambda _: 10**400),  # an int no float holds
     ])
     def test_wrong_typed_manifest_value(self, which, path, value):
         """A value that equals or casts to the saved one, but has another
@@ -318,6 +321,26 @@ class TestIntegrity:
         parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
         with pytest.raises(IntegrityError, match="TypeError"):
             _load_damaged_strict(_with_header(_saved_blobs()[which], header))
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 4], ids=["linear", "arimax", "network", "ensemble"])
+    @pytest.mark.parametrize("extra, match", [("junk", "does not read"), ("repeat", "twice")])
+    def test_array_the_model_does_not_read(self, which, extra, match):
+        """An array entry no loader reads, or the first entry listed
+        again, with its payload, length and checksum made to match."""
+        blob = _saved_blobs()[which]
+        header = _header(blob)
+        payload = blob[16 + int.from_bytes(blob[8:16], "little") :]
+        if extra == "junk":
+            entry, data = {"name": "junk", "shape": [1]}, np.zeros(1).tobytes()
+        else:
+            entry = dict(header["arrays"][0])
+            data = payload[: 8 * math.prod(entry["shape"])]
+        header["arrays"].append(entry)
+        payload += data
+        header.update(payload_bytes=len(payload), payload_crc32=zlib.crc32(payload))
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        with pytest.raises(IntegrityError, match=match):
+            _load_damaged_strict(blob[:8] + len(new).to_bytes(8, "little") + new + payload)
 
     def test_unknown_combiner_kind(self):
         header = _header(_saved_blobs()[4])

@@ -33,7 +33,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from trackcast import cli
 from trackcast.ensemble import EnsembleConfig
 from trackcast.ingest import SynthConfig, generate_synthetic
-from trackcast.preprocess import PreprocessConfig, run_preprocess
+from trackcast.preprocess import FilterConfig, PreprocessConfig, run_preprocess
 from trackcast.rng import derive_seed
 
 REPEATS = 3  # random initializations per network, as in the paper
@@ -117,7 +117,8 @@ def main():
 
     rows = []
     for prop in (0.0, 0.2, 0.5, 0.8):
-        fsplit, faudit = run_preprocess(table, pre_cfg, cli._filter_config(cfg, prop))
+        filter_cfg = FilterConfig(**cfg["filter"], discard_proportion=prop)
+        fsplit, faudit = run_preprocess(table, pre_cfg, filter_cfg)
         metrics = train("lr", fsplit)["metrics"]
         rows.append([prop, faudit.filter["discarded"], fsplit.train.m,
                      metrics["train"]["mse"], metrics["test"]["mse"]])

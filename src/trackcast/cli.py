@@ -56,7 +56,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .ingest import CsvSchema, SynthConfig, generate_synthetic, read_csv, write_csv
-from .persistence import RunReport, save_model, write_report
+from .persistence import save_model, write_report
 from .preprocess import FilterConfig, PreprocessConfig, run_preprocess
 
 EXIT_OK = 0
@@ -134,21 +134,28 @@ def load_config(path) -> dict:
     return _check_config(cfg)
 
 
-def _filter_config(cfg: dict, override_proportion) -> FilterConfig | None:
-    """None without a ``filter`` section (an empty one filters) or override."""
-    if "filter" not in cfg and override_proportion is None:
-        return None
-    body = dict(cfg.get("filter", {}))
-    if override_proportion is not None:
-        body["discard_proportion"] = override_proportion
-    return FilterConfig(**body)
+# ``run`` flag -> the (section, key) of the config it sets
+_RUN_FLAGS = {"models": ("model", "models"), "ensemble": ("ensemble", "method"),
+              "stack": ("ensemble", "stack"),
+              "filter_proportion": ("filter", "discard_proportion")}
 
 
-def _model_list(cfg: dict, override) -> list[str]:
-    if override is not None:
-        names = [s.strip() for s in override.split(",") if s.strip()]
-    else:
-        names = cfg.get("model", {}).get("models", ["lr"])
+def _apply_flags(cfg: dict, args) -> tuple[dict, dict]:
+    """A copy of the checked ``cfg`` with each ``run`` flag that was given
+    set in its section, and the config the report echoes: ``cfg`` as read
+    plus ``_overrides``, each flag given and its value as typed."""
+    given = {flag: v for flag, v in vars(args).items() if flag in _RUN_FLAGS and v is not None}
+    applied = {section: dict(body) for section, body in cfg.items()}
+    for flag, value in given.items():
+        section, key = _RUN_FLAGS[flag]
+        if flag == "models":
+            value = [s.strip() for s in value.split(",") if s.strip()]
+        applied.setdefault(section, {})[key] = value
+    return applied, dict(cfg, _overrides=given)
+
+
+def _model_list(cfg: dict) -> list[str]:
+    names = cfg.get("model", {}).get("models", ["lr"])
     if not names:
         raise ConfigError("no models selected")
     seen = []
@@ -178,15 +185,6 @@ def _model_setting(cfg: dict, name: str, window_len: int):
         raise ConfigError(f"model section: kernel_width {net_cfg.kernel_width}"
                           f" must be smaller than window_width {window_len}")
     return net_cfg
-
-
-def _ensemble_config(cfg: dict, method_override, stack_override) -> ens.EnsembleConfig:
-    body = dict(cfg.get("ensemble", {}))
-    if method_override is not None:
-        body["method"] = method_override
-    if stack_override:
-        body["stack"] = True
-    return ens.EnsembleConfig(**body)
 
 
 def _parts(split: SplitSet):
@@ -315,12 +313,6 @@ def _report_failures(errors: dict, failure_codes: set) -> int:
     return min(failure_codes, default=EXIT_OK)
 
 
-def _effective_config(cfg: dict, overrides: dict) -> dict:
-    echo = json.loads(json.dumps(cfg))
-    echo["_overrides"] = {k: v for k, v in overrides.items() if v not in (None, False)}
-    return echo
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if "n_rows" not in cfg.get("synth", {}):
@@ -341,12 +333,13 @@ def _read_data(path, schema: CsvSchema, timings: dict):
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    models = _model_list(cfg, args.models)
+    cfg, echo = _apply_flags(load_config(args.config), args)
+    models = _model_list(cfg)
     pre_cfg = PreprocessConfig(**cfg.get("preprocess", {}))
     settings = {name: _model_setting(cfg, name, pre_cfg.window_width) for name in models}
-    ens_cfg = _ensemble_config(cfg, args.ensemble, args.stack)
-    filter_cfg = _filter_config(cfg, args.filter_proportion)
+    ens_cfg = ens.EnsembleConfig(**cfg.get("ensemble", {}))
+    # no filter without a ``filter`` section; an empty one filters
+    filter_cfg = FilterConfig(**cfg["filter"]) if "filter" in cfg else None
 
     timings: dict[str, float] = {}
     table = _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings)
@@ -370,20 +363,9 @@ def cmd_run(args) -> int:
             errors[name] = failure[1]
         timings[f"train_{name}_seconds"] = time.perf_counter() - t0
 
-    overrides = {
-        "models": args.models,
-        "ensemble": args.ensemble,
-        "stack": args.stack,
-        "filter_proportion": args.filter_proportion,
-    }
-    report = RunReport(
-        config=_effective_config(cfg, overrides),
-        audit=asdict(audit),
-        models=entries,
-        timings=timings,
-        errors=errors,
-    )
-    write_report(report, os.path.join(args.out_dir, "report.json"))
+    write_report({"config": echo, "audit": asdict(audit), "models": entries,
+                  "timings": timings, "errors": errors},
+                 os.path.join(args.out_dir, "report.json"))
     _print_table(("model", "split", "mse", "mae"),
                  [(name, *m) for name in sorted(entries) for m in _part_metrics(entries[name])])
     return _report_failures(errors, failure_codes)
@@ -407,12 +389,11 @@ def _parse_proportions(raw: str) -> list[float]:
 def cmd_filter_sweep(args) -> int:
     cfg = load_config(args.config)
     proportions = _parse_proportions(args.proportions)
-    models = _model_list(cfg, None)
-    swept_model = models[0]
+    swept_model = _model_list(cfg)[0]
     pre_cfg = PreprocessConfig(**cfg.get("preprocess", {}))
     setting = _model_setting(cfg, swept_model, pre_cfg.window_width)
-    ens_cfg = _ensemble_config(cfg, None, None)
-    base_filter = _filter_config(cfg, None) or FilterConfig()
+    ens_cfg = ens.EnsembleConfig(**cfg.get("ensemble", {}))
+    base_filter = FilterConfig(**cfg.get("filter", {}))
 
     timings: dict[str, float] = {}
     table = _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings)
@@ -441,15 +422,10 @@ def cmd_filter_sweep(args) -> int:
         timings[f"proportion_{prop}_seconds"] = time.perf_counter() - t0
         rows.append(row)
 
-    report = RunReport(
-        config=_effective_config(cfg, {"proportions": args.proportions}),
-        audit=shared_audit,
-        models={},
-        timings=timings,
-        sweep=[dict(r, model=swept_model) for r in rows],
-        errors=errors,
-    )
-    write_report(report, args.out)
+    write_report({"config": dict(cfg, _overrides={"proportions": args.proportions}),
+                  "audit": shared_audit, "models": {}, "timings": timings,
+                  "sweep": [dict(r, model=swept_model) for r in rows], "errors": errors},
+                 args.out)
     header = ("proportion", "discarded", "train_mse", "val_mse", "test_mse")
     _print_table(header, [[row[k] for k in header] for row in rows])
     return _report_failures(errors, failure_codes)
@@ -474,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--models", default=None,
                        help="comma-separated subset of lr,arima,lstm,gru,cnn")
     p_run.add_argument("--ensemble", default=None, choices=ens.ENSEMBLE_METHODS)
-    p_run.add_argument("--stack", action="store_true", default=False)
+    p_run.add_argument("--stack", action="store_true", default=None)
     p_run.add_argument("--filter-proportion", type=float, default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -501,10 +477,14 @@ def _steady_memory() -> None:
     a run's peak RSS followed scheduling and the machine's free memory:
     a bagged ``train-neural`` run read 57 MB, 60–62 MB in 7 of 25
     benchmark runs, and 59–67 MB beside another busy process.  Pinned,
-    10 runs read 53.06–53.15 MB, in the same time.  A 128 KiB mmap
-    threshold cost a third more time (each minibatch mapped fresh
-    pages); a 16 MiB one kept 75 MB.  The trim threshold is twice the
-    mmap threshold, the pair glibc's own adjustment sets.
+    in the same time, the peak no longer follows scheduling or free
+    memory, but it keeps two modes, about 53.1 or 55.4 MB, set by the
+    heap's layout, which the length of the command line (the checkout
+    path), the seed and edits to the code that allocate no array all
+    move.  A 128 KiB mmap threshold cost a third more time (each
+    minibatch mapped fresh pages); a 16 MiB one kept 75 MB.  The trim
+    threshold is twice the mmap threshold, the pair glibc's own
+    adjustment sets.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -282,38 +281,16 @@ def _round_metrics(node: Any) -> Any:
     return node
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one pipeline run produced, ready for JSON.
-
-    `models` maps each trained model name to its entry (metrics,
-    trace, details); the name set must match what the run was asked
-    to train.  `sweep` holds per-proportion rows for filter sweeps.
-    `timings` is the only subtree allowed to differ between identical
-    runs.
-    """
-
-    config: dict
-    audit: dict
-    models: dict
-    timings: dict = field(default_factory=dict)
-    sweep: list | None = None
-    errors: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        doc = {
-            "schema_version": 1,
-            "config": self.config,
-            "audit": self.audit,
-            "models": _round_metrics(self.models),
-            "errors": self.errors,
-            "timings": self.timings,
-        }
-        if self.sweep is not None:
-            doc["sweep"] = _round_metrics(self.sweep)
-        return doc
-
-
-def write_report(report: RunReport, path) -> None:
-    text = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+def write_report(doc: dict, path) -> None:
+    """Write the report ``doc`` (section name -> content) as UTF-8 JSON
+    with sorted keys, atomically, under ``schema_version`` 1.  Each
+    metric under ``models`` and ``sweep`` is rounded to 6 significant
+    digits; the in-memory values stay exact.  Wall-clock numbers belong
+    under ``timings``, the only section allowed to differ between
+    identical runs."""
+    doc = dict(doc, schema_version=1)
+    for section in ("models", "sweep"):
+        if section in doc:
+            doc[section] = _round_metrics(doc[section])
+    text = json.dumps(doc, sort_keys=True, indent=2)
     _write_atomic(path, (text + "\n").encode("utf-8"))

@@ -6,7 +6,6 @@ a short verification report.
 """
 import json
 import math
-import os
 import time
 
 import numpy as np

@@ -707,6 +707,32 @@ class TestRun:
         assert audit_filter["discarded"] >= 0
         assert report["config"]["_overrides"]["filter_proportion"] == 0.3
 
+    @pytest.mark.parametrize("extra, echo", [
+        (["--models", "arima"], {"models": "arima"}),
+        (["--filter-proportion", "0"], {"filter_proportion": 0.0}),
+        (["--models", "cnn", "--ensemble", "none"], {"models": "cnn", "ensemble": "none"}),
+        (["--models", "cnn", "--ensemble", "bagging", "--stack"],
+         {"models": "cnn", "ensemble": "bagging", "stack": True}),
+    ], ids=["models", "filter-0", "ensemble-none", "bagging-stack"])
+    def test_overrides_echo_each_flag_given_as_applied(self, cli_workspace, tmp_path,
+                                                       extra, echo):
+        """``config`` is the file as read plus ``_overrides``: each flag
+        given, with the value that reached the run (a falsy one too)."""
+        code, out_dir = run_cli(cli_workspace, tmp_path, *extra)
+        assert code == EXIT_OK
+        report = read_report(out_dir)
+        assert report["config"] == dict(cli_workspace["config_dict"], _overrides=echo)
+        reached = {"models": ",".join(sorted(report["models"]))}
+        if report["audit"]["filter"] is not None:
+            reached["filter_proportion"] = report["audit"]["filter"]["discard_proportion"]
+        for entry in report["models"].values():
+            if entry["kind"] == "network":
+                reached["ensemble"] = "none"
+            elif entry["kind"] == "ensemble":
+                reached["ensemble"] = entry["ensemble"]["method"]
+                reached["stack"] = entry["ensemble"]["combiner"]["kind"] == "stacker"
+        assert {flag: reached[flag] for flag in echo} == echo
+
     def test_no_filter_by_default(self, cli_workspace, tmp_path):
         _, out_dir = run_cli(cli_workspace, tmp_path)
         assert read_report(out_dir)["audit"]["filter"] is None

@@ -41,7 +41,6 @@ from trackcast.neural import NetworkConfig, NetworkParams, init_params, predict_
 from trackcast.persistence import (
     FORMAT_VERSION,
     MAGIC,
-    RunReport,
     _round_metrics,
     _sig6,
     load_model,
@@ -583,7 +582,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(persistence, "open", failing_open, raising=False)
 
     def _writers(self):
-        report = RunReport(config={}, audit={}, models={"lr": {"train_mse": 0.5}})
+        report = {"config": {}, "audit": {}, "models": {"lr": {"train_mse": 0.5}}}
         return {
             "m.tckm": lambda path: save_model(fit_linear(make_ds()), path),
             "report.json": lambda path: write_report(report, path),
@@ -637,38 +636,51 @@ class TestMetricRounding:
 
 
 class TestRunReport:
-    def base_report(self, timings):
-        return RunReport(
-            config={"model": {"models": ["lr"]}},
-            audit={"rows_in": 100},
-            models={"lr": {"train_mse": 0.123456789}},
-            timings=timings,
-        )
+    """``write_report`` on a report document."""
 
-    def test_schema_and_rounding(self):
-        doc = self.base_report({"total_s": 1.0}).as_dict()
+    def write(self, tmp_path, doc, name="report.json"):
+        path = tmp_path / name
+        write_report(doc, path)
+        return path.read_text(encoding="utf-8")
+
+    def base_report(self, timings):
+        return {
+            "config": {"model": {"models": ["lr"]}},
+            "audit": {"rows_in": 100, "val_mse": 0.123456789},
+            "models": {"lr": {"train_mse": 0.123456789}},
+            "timings": timings,
+            "errors": {},
+        }
+
+    def test_schema_and_rounding(self, tmp_path):
+        doc = json.loads(self.write(tmp_path, self.base_report({"total_s": 1.0})))
         assert doc["schema_version"] == 1
         assert doc["models"]["lr"]["train_mse"] == 0.123457
+        assert doc["audit"]["val_mse"] == 0.123456789
         assert "sweep" not in doc
 
-    def test_sweep_included_and_rounded(self):
-        rep = RunReport(config={}, audit={}, models={},
-                        sweep=[{"proportion": 0.2, "train_mse": 0.999999999}])
-        doc = rep.as_dict()
+    def test_sweep_included_and_rounded(self, tmp_path):
+        text = self.write(tmp_path, {"config": {}, "audit": {}, "models": {},
+                                     "sweep": [{"proportion": 0.2, "train_mse": 0.999999999}]})
+        doc = json.loads(text)
         assert doc["sweep"][0]["train_mse"] == 1.0
         assert doc["sweep"][0]["proportion"] == 0.2
 
-    def test_timings_is_the_only_difference(self):
-        a = self.base_report({"total_s": 1.0}).as_dict()
-        b = self.base_report({"total_s": 99.0}).as_dict()
+    def test_timings_is_the_only_difference(self, tmp_path):
+        a = json.loads(self.write(tmp_path, self.base_report({"total_s": 1.0}), "a.json"))
+        b = json.loads(self.write(tmp_path, self.base_report({"total_s": 99.0}), "b.json"))
         assert a.pop("timings") != b.pop("timings")
         assert a == b
 
     def test_write_report_sorted_and_stable(self, tmp_path):
-        path = tmp_path / "report.json"
-        write_report(self.base_report({"total_s": 0.5}), path)
-        text = path.read_text(encoding="utf-8")
+        doc = self.base_report({"total_s": 0.5})
+        text = self.write(tmp_path, doc, "a.json")
         assert text.endswith("\n")
-        doc = json.loads(text)
-        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        assert doc["errors"] == {}
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert self.write(tmp_path, dict(reversed(doc.items())), "b.json") == text
+
+    def test_leaves_the_document_unrounded(self, tmp_path):
+        doc = self.base_report({"total_s": 0.5})
+        self.write(tmp_path, doc)
+        assert doc["models"]["lr"]["train_mse"] == 0.123456789
+        assert "schema_version" not in doc

@@ -1,5 +1,5 @@
-"""No module of the package or of the scripts imports a name it never
-uses, so a deletion cannot leave its imports behind.  pyflakes would
+"""No module of the package, the scripts or the tests imports a name it
+never uses, so a deletion cannot leave its imports behind.  pyflakes would
 catch this too; the check here reads the syntax tree with ``ast``."""
 import ast
 import glob
@@ -36,7 +36,7 @@ def test_unused_imports_are_found():
 
 def test_no_unused_imports():
     found = []
-    for pattern in ("src/trackcast/*.py", "scripts/*.py"):
+    for pattern in ("src/trackcast/*.py", "scripts/*.py", "tests/*.py"):
         for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
             with open(path, encoding="utf-8") as fh:
                 found += [f"{os.path.relpath(path, ROOT)}: {name}"

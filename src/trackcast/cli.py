@@ -342,12 +342,11 @@ def cmd_run(args) -> int:
     filter_cfg = FilterConfig(**cfg["filter"]) if "filter" in cfg else None
 
     timings: dict[str, float] = {}
-    table = _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings)
-
     t0 = time.perf_counter()
-    split, audit = run_preprocess(table, pre_cfg, filter_cfg)
-    del table  # the split holds all the models need
-    timings["preprocess_seconds"] = time.perf_counter() - t0
+    # no name holds the raw table, so run_preprocess can let it go early
+    split, audit = run_preprocess(
+        _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings), pre_cfg, filter_cfg)
+    timings["preprocess_seconds"] = (time.perf_counter() - t0) - timings["read_csv_seconds"]
     os.makedirs(args.out_dir, exist_ok=True)
 
     entries: dict[str, dict] = {}
@@ -478,13 +477,18 @@ def _steady_memory() -> None:
     a bagged ``train-neural`` run read 57 MB, 60–62 MB in 7 of 25
     benchmark runs, and 59–67 MB beside another busy process.  Pinned,
     in the same time, the peak no longer follows scheduling or free
-    memory, but it keeps two modes, about 53.1 or 55.4 MB, set by the
-    heap's layout, which the length of the command line (the checkout
-    path), the seed and edits to the code that allocate no array all
-    move.  A 128 KiB mmap threshold cost a third more time (each
+    memory.  It kept two modes, about 53.1 or 55.4 MB, set by the heap's
+    layout, which the length of the command line (the checkout path),
+    the seed and edits to the code that allocate no array all moved:
+    whether a freed block still lay at the top of the heap when
+    preprocessing copied the raw table.  ``run`` now lets the raw table
+    go during preprocessing (``run_preprocess``), and that peak went
+    with it.  A 128 KiB mmap threshold cost a third more time (each
     minibatch mapped fresh pages); a 16 MiB one kept 75 MB.  The trim
     threshold is twice the mmap threshold, the pair glibc's own
-    adjustment sets.
+    adjustment sets.  Bagging's forked member workers inherit these
+    settings, and they and the process that forked them predict
+    serially while the pool runs, so no pool thread takes an arena there.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

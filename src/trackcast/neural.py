@@ -38,6 +38,10 @@ _GRU_GATES = ("z", "r", "h")
 # the whole split in one call.
 _PREDICT_CHUNK = 1024
 _predict_lock = threading.Lock()
+# True inside _one_core.  Process-wide on purpose: it says how many
+# cores the whole process may use, and the member pool that sets it
+# runs only where no other thread does.
+_serial_predict = False
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,13 @@ class NetworkParams:
             vector[start:stop] = np.ravel(tensors[name])
         vector.setflags(write=False)
         return cls(arch, *sizes, vector)
+
+    def __reduce__(self):
+        """Pickled as its sizes and tensors, and unpickled by
+        ``from_tensors``, so the copy is read-only and whole."""
+        sizes = (self.n_features, self.window_len, self.hidden_size, self.kernel_count,
+                 self.kernel_width)
+        return type(self).from_tensors, (self.arch, *sizes, self.tensors)
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of any vector laid out like ``self.vector``."""
@@ -445,6 +456,21 @@ def _one_blas_thread():
         set_threads(before)
 
 
+@contextlib.contextmanager
+def _one_core():
+    """Keep this process, and every process forked inside the block, to
+    one core until the block ends: OpenBLAS at one thread
+    (``_one_blas_thread``) and ``predict_batch`` serial.  Ensemble's
+    member pool runs in it, each process on a core of its own."""
+    global _serial_predict
+    before, _serial_predict = _serial_predict, True
+    try:
+        with _one_blas_thread():
+            yield
+    finally:
+        _serial_predict = before
+
+
 def _parallel_forward(run, chunk_starts) -> list:
     """``run`` over every chunk start on a pool of one thread per core,
     with numpy's OpenBLAS held to one thread until the last chunk is
@@ -468,7 +494,9 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
     that predicts it, so the windows are never all held at once.  With
     two chunks or more, two usable cores or more, and numpy's OpenBLAS
     found, the chunks run in parallel (``_parallel_forward``); otherwise
-    one after another.  The same windows in the same chunks give the
+    one after another, as also inside ``_one_core``, where the processes
+    of ensemble's member pool each keep to one core and so never take
+    ``_predict_lock``.  The same windows in the same chunks give the
     same bytes either way, from an array or a dataset; a window in
     another chunk, or alone, agrees within rounding, since its bits can
     depend on its row in the chunk through BLAS kernels.
@@ -480,7 +508,8 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
     fwd = _FORWARD[params.arch]
     run = lambda a: fwd(params, ds.gather(slice(a, a + _PREDICT_CHUNK)), False)[0]
     chunk_starts = range(0, ds.m, _PREDICT_CHUNK)
-    if len(chunk_starts) < 2 or _usable_cores() < 2 or _openblas_threads() is None:
+    if (len(chunk_starts) < 2 or _serial_predict or _usable_cores() < 2
+            or _openblas_threads() is None):
         return np.concatenate([run(a) for a in chunk_starts])
     return np.concatenate(_parallel_forward(run, chunk_starts))
 

@@ -293,11 +293,19 @@ def run_preprocess(
 
     The proportional filter, when configured, applies to the train part
     only; test and validation windows stay untouched.
+
+    ``table`` is held only until its constant columns are dropped.  So
+    where the caller keeps no reference of its own, as ``cli``'s ``run``
+    does, the raw table is freed before the outlier stage copies rows.
+    With the raw table alive, that stage set a bagged run's memory peak.
+    (Before CPython 3.11, a call's arguments stay on the caller's stack
+    until it returns, so the table lives to the end.)
     """
     # each stage's table goes as soon as the next stage holds what it
     # needs; the audit keeps names and counts
     stage, const_dropped = drop_constant_features(table)
     const_names = tuple(table.column_names[i] for i in const_dropped)
+    del table
 
     stage, removed_rows = remove_outliers_zscore(stage, cfg.zscore_threshold)
     candidate_names = stage.column_names

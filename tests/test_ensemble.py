@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from trackcast.core import WindowedDataset
 from trackcast.errors import InvalidArgumentError, NumericDivergenceError
 from trackcast import ensemble as ens
+from trackcast import neural
 from trackcast.ensemble import (
     Combiner,
     EnsembleModel,
@@ -16,7 +20,7 @@ from trackcast.ensemble import (
     train_bagging,
     train_boosting,
 )
-from trackcast.neural import NetworkConfig, init_params, predict_batch
+from trackcast.neural import NetworkConfig, TrainTrace, init_params, predict_batch, train
 from trackcast.rng import derive_seed
 
 
@@ -130,25 +134,21 @@ class TestBagging:
         ]
         assert ens_mse <= np.mean(member_mse) + 1e-12
 
-    def test_bootstrap_seed_derivation(self, monkeypatch):
-        """Member i trains on the resample seeded by its own derived seed."""
-        captured = []
-        real = ens._train_member
-
-        def spy(cfg, seed, train_ds, val_ds):
-            captured.append((seed, train_ds))
-            return real(cfg, seed, train_ds, val_ds)
-
-        monkeypatch.setattr(ens, "_train_member", spy)
+    def test_bootstrap_seed_derivation(self, two_cores):
+        """Member i is ``train`` on the resample seeded by its own derived
+        seed, also where a forked worker trained it."""
         tr, va = make_ds(), make_ds(m=8, seed=9)
         cfg = fast_cfg()
-        train_bagging(cfg, 2, tr, va)
-        for i, (seed, seen) in enumerate(captured):
-            assert seed == derive_seed(cfg.seed, i, 0)
-            expected = bootstrap_sample(tr, tr.m, derive_seed(seed, 0))
-            assert np.array_equal(seen.windows, expected.windows)
+        model = train_bagging(cfg, 3, tr, va)
+        for i, (member, member_trace) in enumerate(zip(model.members, model.member_traces)):
+            seed = derive_seed(cfg.seed, i, 0)
+            sample = bootstrap_sample(tr, tr.m, derive_seed(seed, 0))
+            params, trace = train(replace(cfg, seed=seed), sample, va)
+            assert np.array_equal(member.vector, params.vector)
+            assert member_trace == trace
 
-    def test_divergent_member_retries_once(self, monkeypatch):
+    def test_divergent_member_retries_once(self, monkeypatch, two_cores):
+        """Member 1 is retried, also where it trains in the forked worker."""
         tr, va = make_ds(), make_ds(m=8, seed=9)
         cfg = fast_cfg()
         poison = derive_seed(cfg.seed, 1, 0)
@@ -163,21 +163,191 @@ class TestBagging:
         model = train_bagging(cfg, 3, tr, va)
         assert model.retried_members == (1,)
         assert len(model.members) == 3
+        assert_no_child_left()
 
     def test_second_divergence_aborts(self, monkeypatch):
+        """A worker's second divergence reaches the caller as the serial
+        loop raises it: same type, message and partial trace."""
         tr, va = make_ds(), make_ds(m=8, seed=9)
         cfg = fast_cfg()
         poison = {derive_seed(cfg.seed, 1, 0), derive_seed(cfg.seed, 1, 1)}
         real = ens._train_member
+        partial = TrainTrace((1.0,), (2.0,), 1, 1, False)
 
         def broken(c, seed, train_ds, val_ds):
             if seed in poison:
-                raise NumericDivergenceError("boom")
+                raise NumericDivergenceError(f"boom {seed}", trace=partial)
             return real(c, seed, train_ds, val_ds)
 
         monkeypatch.setattr(ens, "_train_member", broken)
-        with pytest.raises(NumericDivergenceError):
-            train_bagging(cfg, 3, tr, va)
+        raised = []
+        for cores in (2, 1):
+            monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+            with pytest.raises(NumericDivergenceError) as info:
+                train_bagging(cfg, 3, tr, va)
+            raised.append((str(info.value), info.value.trace))
+            assert_no_child_left()
+        assert raised[0] == raised[1]
+        assert raised[0] == (f"boom {derive_seed(cfg.seed, 1, 1)}", partial)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores: bagging forks one worker beside this process
+    where numpy's OpenBLAS is found, and runs the plain loop where not."""
+    monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
+    if neural._openblas_threads() is not None:
+        assert ens._pool_size(3) == 2
+
+
+@pytest.fixture
+def pool_of_two(two_cores):
+    """Two usable cores, so bagging forks one worker beside this process."""
+    if neural._openblas_threads() is None:
+        pytest.skip("the member pool needs numpy's OpenBLAS found")
+
+
+class TestMemberPool:
+    def test_pool_gives_the_serial_bytes(self, monkeypatch, pool_of_two):
+        """Three members put two on this process and one on the worker;
+        the model equals the one trained one member after another."""
+        tr, va = make_ds(), make_ds(m=8, seed=9)
+        cfg = fast_cfg()
+        pooled = train_bagging(cfg, 3, tr, va)
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        assert ens._pool_size(3) == 1
+        serial = train_bagging(cfg, 3, tr, va)
+        for a, b in zip(pooled.members, serial.members, strict=True):
+            assert a.vector.tobytes() == b.vector.tobytes()
+            assert not a.vector.flags.writeable and not b.vector.flags.writeable
+            assert all(not t.flags.writeable for t in a.tensors.values())
+        assert pooled.member_traces == serial.member_traces
+        assert pooled.retried_members == serial.retried_members == ()
+        assert_no_child_left()
+
+    def test_worker_holds_one_blas_thread_and_predicts_serially(
+            self, monkeypatch, pool_of_two):
+        """The forked worker's state at its member reaches the caller:
+        OpenBLAS at one thread, though this process ran two when the pool
+        started, and a two-chunk prediction that never took the thread
+        pool."""
+        get_threads, set_threads = neural._openblas_threads()
+        tr, va = make_ds(), make_ds(m=8, seed=9)
+        big = make_ds(m=neural._PREDICT_CHUNK + 1)
+        parent = os.getpid()
+        real = ens._train_member
+
+        def no_pool(run, chunk_starts):
+            raise AssertionError("parallel prediction inside the member pool")
+
+        def probe(c, seed, train_ds, val_ds):
+            params, trace = real(c, seed, train_ds, val_ds)
+            if os.getpid() != parent:
+                neural.predict_batch(params, big)
+                raise RuntimeError(os.getpid(), get_threads())
+            return params, trace
+
+        monkeypatch.setattr(ens, "_train_member", probe)
+        monkeypatch.setattr(neural, "_parallel_forward", no_pool)
+        before = get_threads()
+        set_threads(2)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                train_bagging(fast_cfg(), 2, tr, va)
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        worker, threads = info.value.args
+        assert worker != parent and threads == 1
+        assert not neural._serial_predict
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("stop", [NumericDivergenceError, KeyboardInterrupt])
+    def test_worker_reaped_when_this_process_share_raises(self, monkeypatch, pool_of_two,
+                                                          stop):
+        """Member 0 fails (or is interrupted) here while the worker still
+        trains member 1: the error propagates and the worker is gone."""
+        tr, va = make_ds(), make_ds(m=8, seed=9)
+        parent = os.getpid()
+        real = ens._train_member
+
+        def failing(c, seed, train_ds, val_ds):
+            if os.getpid() == parent:
+                raise stop("stop")
+            return real(c, seed, train_ds, val_ds)
+
+        monkeypatch.setattr(ens, "_train_member", failing)
+        with pytest.raises(stop):
+            train_bagging(fast_cfg(), 2, tr, va)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [(), (1,), (3,), (4,), (1, 2), (2, 3), (0, 1)])
+    def test_uneven_shares_give_the_plain_loop_outcome(self, failing):
+        """Five items on two processes, three here and two in the worker:
+        the results, or the lowest failing item's error, are the plain
+        loop's."""
+        def fn(i):
+            if i in failing:
+                raise ValueError(i)
+            return i * i
+
+        outcomes = []
+        for k in (2, 1):
+            try:
+                outcomes.append(ens._forked_map(fn, 5, k))
+            except ValueError as exc:
+                outcomes.append(exc.args)
+            assert_no_child_left()
+        assert outcomes[0] == outcomes[1]
+
+    def test_this_process_finishes_its_share_before_it_waits(self, tmp_path):
+        """The worker's item 1 waits until this process has done item 2,
+        which times out where this process waits for item 1 first."""
+        done_2 = tmp_path / "done_2"
+
+        def fn(i):
+            if i == 2:
+                done_2.touch()
+            deadline = time.monotonic() + 30
+            while i == 1 and not done_2.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("item 1 waited for item 2")
+                time.sleep(0.01)
+            return i
+
+        assert ens._forked_map(fn, 4, 2) == [0, 1, 2, 3]
+        assert_no_child_left()
+
+    def test_no_fork_beside_another_thread(self, pool_of_two):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert ens._pool_size(3) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_worker_that_dies_is_reported(self, monkeypatch, pool_of_two):
+        tr, va = make_ds(), make_ds(m=8, seed=9)
+        parent = os.getpid()
+        real = ens._train_member
+
+        def dying(c, seed, train_ds, val_ds):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(c, seed, train_ds, val_ds)
+
+        monkeypatch.setattr(ens, "_train_member", dying)
+        with pytest.raises(RuntimeError, match="without sending"):
+            train_bagging(fast_cfg(), 2, tr, va)
+        assert_no_child_left()
 
 
 class TestBoosting:

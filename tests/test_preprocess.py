@@ -1,12 +1,16 @@
 import math
+import sys
 import tracemalloc
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trackcast import preprocess as pp
 from trackcast.core import RawTable, WindowedDataset
 from trackcast.ensemble import bootstrap_sample
 from trackcast.errors import IllPosedError, InvalidArgumentError
@@ -434,6 +438,27 @@ class TestMemory:
         assert all(part.rows is split.train.rows for part in (split.test, split.val))
         windows_bytes = audit.windows_total * split.train.l * split.train.n * 8
         assert peak <= 0.8 * windows_bytes
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a call's arguments stay on the caller's stack")
+    def test_raw_table_goes_before_the_outlier_stage(self, monkeypatch, table):
+        """A table no caller holds is freed once its constant columns are
+        dropped, before the outlier stage copies its rows."""
+        refs, alive = [], []
+        real_drop, real_outliers = pp.drop_constant_features, pp.remove_outliers_zscore
+
+        def drop(raw):
+            refs.append(weakref.ref(raw))
+            return real_drop(raw)
+
+        def outliers(stage, threshold):
+            alive.append(refs[0]() is not None)
+            return real_outliers(stage, threshold)
+
+        monkeypatch.setattr(pp, "drop_constant_features", drop)
+        monkeypatch.setattr(pp, "remove_outliers_zscore", outliers)
+        run_preprocess(replace(table), PreprocessConfig(window_width=8))
+        assert alive == [False]
 
     def test_bootstrap_sample_shares_the_rows(self, table):
         split, _ = run_preprocess(table, PreprocessConfig(window_width=8))

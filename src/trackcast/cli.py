@@ -6,9 +6,10 @@ reports, ``filter-sweep`` trains the first model in ``model.models``
 (ensembled as a run would) once per filter proportion.  Every command
 runs with numpy's OpenBLAS held to one thread, so its outputs do not
 depend on the core count, and with malloc and numpy's huge pages
-pinned (``_steady_memory``), so its memory peak does not depend on how
-its threads are scheduled.  Run as a program (``python -m
-trackcast.cli``, or the ``trackcast`` console script through
+pinned (``_steady_memory``), so its memory peak does not depend on the
+machine's free memory.  It starts no thread: a second core runs a
+forked process (``neural._forked_map``).  Run as a program (``python
+-m trackcast.cli``, or the ``trackcast`` console script through
 ``trackcast.__main__``), the process starts OpenBLAS at one thread:
 ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, since workers
 started at the caller's count would never run a product.  Imported as
@@ -65,7 +66,7 @@ EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
 # glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 MODEL_NAMES = ("lr", "arima", "lstm", "gru", "cnn")
 _NET_SIZES = ("hidden_size", "kernel_count", "kernel_width")
@@ -465,30 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _steady_memory() -> None:
-    """For the rest of the process, pin glibc malloc to one arena, a
-    4 MiB mmap threshold and an 8 MiB trim threshold, where the C
-    library has ``mallopt``, and stop numpy asking for transparent huge
-    pages for its large arrays.
+    """For the rest of the process, pin glibc malloc to a 4 MiB mmap
+    threshold and an 8 MiB trim threshold, where the C library has
+    ``mallopt``, and stop numpy asking for transparent huge pages for
+    its large arrays.
 
-    Otherwise the prediction pool's threads each take an arena, glibc
-    raises its mmap threshold to the size of each mapped block freed,
-    and a huge page counts 2 MB whenever the machine has one free, so
-    a run's peak RSS followed scheduling and the machine's free memory:
-    a bagged ``train-neural`` run read 57 MB, 60–62 MB in 7 of 25
-    benchmark runs, and 59–67 MB beside another busy process.  Pinned,
-    in the same time, the peak no longer follows scheduling or free
-    memory.  It kept two modes, about 53.1 or 55.4 MB, set by the heap's
-    layout, which the length of the command line (the checkout path),
-    the seed and edits to the code that allocate no array all moved:
-    whether a freed block still lay at the top of the heap when
-    preprocessing copied the raw table.  ``run`` now lets the raw table
-    go during preprocessing (``run_preprocess``), and that peak went
-    with it.  A 128 KiB mmap threshold cost a third more time (each
+    Otherwise glibc raises its mmap threshold to the size of each mapped
+    block freed, and a huge page counts 2 MB whenever the machine has
+    one free, so a run's peak RSS followed the machine's free memory: a
+    bagged ``train-neural`` run read 57 MB, and 59–67 MB beside another
+    busy process.  A 128 KiB mmap threshold cost a third more time (each
     minibatch mapped fresh pages); a 16 MiB one kept 75 MB.  The trim
     threshold is twice the mmap threshold, the pair glibc's own
-    adjustment sets.  Bagging's forked member workers inherit these
-    settings, and they and the process that forked them predict
-    serially while the pool runs, so no pool thread takes an arena there.
+    adjustment sets.  The arenas are not capped: trackcast starts no
+    thread, so a command allocates from the main arena alone.  The
+    processes ``neural._forked_map`` forks inherit these settings.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -496,8 +488,7 @@ def _steady_memory() -> None:
         mallopt = None
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        for param, value in ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 4 << 20),
-                             (_M_TRIM_THRESHOLD, 8 << 20)):
+        for param, value in ((_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 8 << 20)):
             mallopt(param, value)
     hugepage = getattr((getattr(np, "_core", None) or np.core).multiarray,
                        "_set_madvise_hugepage", None)

@@ -7,11 +7,6 @@ fit on validation data.
 """
 from __future__ import annotations
 
-import ctypes
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +18,6 @@ from .neural import NetworkConfig, NetworkParams, TrainTrace, predict_batch, tra
 from .rng import derive_seed
 
 _COND_LIMIT = 1e12
-_PR_SET_PDEATHSIG = 1  # prctl's option number, from <linux/prctl.h>
 _METHODS = ("bagging", "boosting")
 ENSEMBLE_METHODS = ("none", *_METHODS)
 RESIDUAL_SCOPES = ("original", "current")
@@ -131,102 +125,6 @@ def _train_bagging_member(cfg, member_index, ds, val_ds):
                 raise
 
 
-def _pool_size(items: int) -> int:
-    """Processes for ``_forked_map`` over ``items``: one per usable core,
-    at most one per item.  1 where numpy's OpenBLAS is not found (as for
-    ``predict_batch``'s pool), and where another thread runs: a fork
-    copies none of the other threads, but every lock they hold, which
-    nothing in the worker would release."""
-    if neural._openblas_threads() is None or threading.active_count() > 1:
-        return 1
-    return max(1, min(items, neural._usable_cores()))
-
-
-def _share(fn, items) -> tuple[list, Exception | None]:
-    """``fn`` over ``items`` up to the first error: the results before
-    it, and that error (None where every item gave a result)."""
-    results = []
-    for i in items:
-        try:
-            results.append(fn(i))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def _received(reader) -> tuple[list, Exception | None]:
-    """The ``_share`` a forked worker sends."""
-    try:
-        return pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("a forked worker ended without sending its results") from None
-
-
-def _work(fn, items, out, inherited, parent: int) -> None:
-    """A forked worker's whole life: its ``_share`` of ``fn`` over
-    ``items``, pickled to ``out`` in one piece once it is done, so the
-    worker never waits on the pipe before then; then ``os._exit``, so no
-    cleanup of the parent's runs twice and no error escapes into the
-    parent's code.  Where the C library has ``prctl``, the kernel kills
-    the worker when ``parent`` ends, however it ends."""
-    try:
-        prctl = getattr(ctypes.CDLL(None), "prctl", None)
-        if prctl is not None:
-            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:
-            return
-        for reader in inherited:
-            reader.close()
-        out.write(pickle.dumps(_share(fn, items)))
-        out.flush()
-    finally:
-        os._exit(0)
-
-
-def _forked_map(fn, n: int, k: int) -> list:
-    """``[fn(i) for i in range(n)]`` with item i computed by worker
-    ``i % k``, each worker on a core of its own (``neural._one_core``).
-
-    Worker 0 is this process: it forks workers 1 to k - 1 and computes
-    its own items before it reads theirs, which each worker sends in one
-    piece when its share is done.  So no process waits for another
-    before its own share is done, however unequal the items' times.
-    The results are then taken in item order, and the first error met
-    is raised: the lowest-index item's, as from the plain loop.  Every
-    worker is killed, if still running, and reaped before this returns
-    or raises, also on an interrupt.  With k = 1 this is the plain loop.
-    """
-    if k < 2:
-        return [fn(i) for i in range(n)]
-    pids, readers, parent = [], [], os.getpid()
-    with neural._one_core():
-        try:
-            for w in range(1, k):
-                fd_r, fd_w = os.pipe()
-                readers.append(os.fdopen(fd_r, "rb"))
-                with open(fd_w, "wb") as out:
-                    pid = os.fork()
-                    if pid == 0:
-                        _work(fn, range(w, n, k), out, readers, parent)
-                pids.append(pid)
-            shares, results = [_share(fn, range(0, n, k))], []
-            for i in range(n):
-                if 0 < i < k:  # worker i's first item: its share is needed now
-                    shares.append(_received(readers[i - 1]))
-                done, error = shares[i % k]
-                if i // k == len(done):
-                    raise error
-                results.append(done[i // k])
-            return results
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for reader in readers:
-                reader.close()
-
-
 def train_bagging(
     cfg: NetworkConfig,
     m: int,
@@ -237,17 +135,18 @@ def train_bagging(
     combined.  ``EnsembleConfig`` holds the rule that m is positive;
     ``EnsembleModel`` rejects zero members.
 
-    The members train on a pool of forked processes, one per usable
-    core up to one per member (``_forked_map``), each holding OpenBLAS
-    to one thread and predicting serially.  A member is a function of
-    its seed and the data alone, and the members come back in order, so
-    the model is byte-identical to the one-after-another loop, which is
-    what runs on one core, for one member, without OpenBLAS control or
-    beside another thread (``_pool_size``).
+    The members train on ``neural._forked_map``, one process per usable
+    core up to one per member, each holding OpenBLAS to one thread and
+    predicting with the plain loop, as inside any running pool.  A
+    member is a function of its seed and the data alone, and the
+    members come back in order, so the model is byte-identical to the
+    one-after-another loop, which is what runs on one core, for one
+    member, without OpenBLAS control or beside another thread
+    (``neural._pool_size``).
     """
     m = int(m)
-    results = _forked_map(lambda i: _train_bagging_member(cfg, i, ds, val_ds), m,
-                          _pool_size(m))
+    results = neural._forked_map(lambda i: _train_bagging_member(cfg, i, ds, val_ds), m,
+                                 neural._pool_size(m))
     members = tuple(r[0] for r in results)
     traces = tuple(r[1] for r in results)
     retried = tuple(i for i, r in enumerate(results) if r[2])

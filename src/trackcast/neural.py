@@ -14,6 +14,8 @@ import ctypes
 import functools
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -37,11 +39,10 @@ _GRU_GATES = ("z", "r", "h")
 # on two threads: LSTM 113/118/133 and 61/63/75 ms, against 122 ms for
 # the whole split in one call.
 _PREDICT_CHUNK = 1024
-_predict_lock = threading.Lock()
-# True inside _one_core.  Process-wide on purpose: it says how many
-# cores the whole process may use, and the member pool that sets it
-# runs only where no other thread does.
-_serial_predict = False
+_PR_SET_PDEATHSIG = 1  # prctl's option number, from <linux/prctl.h>
+# True while _forked_map's pool runs, here and in its workers: the
+# process has its core.  Process-wide, as no other thread runs then.
+_in_pool = False
 
 
 @dataclass(frozen=True)
@@ -456,33 +457,106 @@ def _one_blas_thread():
         set_threads(before)
 
 
-@contextlib.contextmanager
-def _one_core():
-    """Keep this process, and every process forked inside the block, to
-    one core until the block ends: OpenBLAS at one thread
-    (``_one_blas_thread``) and ``predict_batch`` serial.  Ensemble's
-    member pool runs in it, each process on a core of its own."""
-    global _serial_predict
-    before, _serial_predict = _serial_predict, True
+def _pool_size(items: int) -> int:
+    """Processes for ``_forked_map`` over ``items``: one per usable core,
+    at most one per item.  1 inside a running pool, which already keeps
+    each process to its core; where numpy's OpenBLAS is not found, so
+    its threads cannot be held to one; and where another thread runs: a
+    fork copies none of the other threads, but every lock they hold,
+    which nothing in the worker would release."""
+    if _in_pool or _openblas_threads() is None or threading.active_count() > 1:
+        return 1
+    return max(1, min(items, _usable_cores()))
+
+
+def _share(fn, items) -> tuple[list, Exception | None]:
+    """``fn`` over ``items`` up to the first error: the results before
+    it, and that error (None where every item gave a result)."""
+    results = []
+    for i in items:
+        try:
+            results.append(fn(i))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _received(reader) -> tuple[list, Exception | None]:
+    """The ``_share`` a forked worker sends."""
+    try:
+        return pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError("a forked worker ended without sending its results") from None
+
+
+def _work(fn, items, out, inherited, parent: int) -> None:
+    """A forked worker's whole life: its ``_share`` of ``fn`` over
+    ``items``, pickled to ``out`` in one piece once it is done, so the
+    worker never waits on the pipe before then; then ``os._exit``, so no
+    cleanup of the parent's runs twice and no error escapes into the
+    parent's code.  Where the C library has ``prctl``, the kernel kills
+    the worker when ``parent`` ends, however it ends."""
+    try:
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
+        for reader in inherited:
+            reader.close()
+        out.write(pickle.dumps(_share(fn, items)))
+        out.flush()
+    finally:
+        os._exit(0)
+
+
+def _forked_map(fn, n: int, k: int) -> list:
+    """``[fn(i) for i in range(n)]`` with item i computed by worker
+    ``i % k``, each worker on a core of its own: OpenBLAS held to one
+    thread (``_one_blas_thread``), and ``_pool_size`` 1 until the pool
+    ends, so a map started inside it is the plain loop.
+
+    Worker 0 is this process: it forks workers 1 to k - 1 and computes
+    its own items before it reads theirs, which each worker sends in one
+    piece when its share is done.  So no process waits for another
+    before its own share is done, however unequal the items' times.
+    The results are then taken in item order, and the first error met
+    is raised: the lowest-index item's, as from the plain loop.  Every
+    worker is killed, if still running, and reaped before this returns
+    or raises, also on an interrupt.  With k = 1 this is the plain loop.
+    """
+    global _in_pool
+    if k < 2:
+        return [fn(i) for i in range(n)]
+    pids, readers, parent = [], [], os.getpid()
+    before, _in_pool = _in_pool, True
     try:
         with _one_blas_thread():
-            yield
+            for w in range(1, k):
+                fd_r, fd_w = os.pipe()
+                readers.append(os.fdopen(fd_r, "rb"))
+                with open(fd_w, "wb") as out:
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(fn, range(w, n, k), out, readers, parent)
+                pids.append(pid)
+            shares, results = [_share(fn, range(0, n, k))], []
+            for i in range(n):
+                if 0 < i < k:  # worker i's first item: its share is needed now
+                    shares.append(_received(readers[i - 1]))
+                done, error = shares[i % k]
+                if i // k == len(done):
+                    raise error
+                results.append(done[i // k])
+            return results
     finally:
-        _serial_predict = before
-
-
-def _parallel_forward(run, chunk_starts) -> list:
-    """``run`` over every chunk start on a pool of one thread per core,
-    with numpy's OpenBLAS held to one thread until the last chunk is
-    done: two BLAS threads under two Python threads ran slower than
-    serial.  The pool's threads end before this returns."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _predict_lock, _one_blas_thread(), ThreadPoolExecutor(
-        _usable_cores(), thread_name_prefix="trackcast-predict"
-    ) as pool:
-        futures = [pool.submit(run, a) for a in chunk_starts]
-        return [f.result() for f in futures]
+        _in_pool = before
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def predict_batch(params: NetworkParams, windows) -> np.ndarray:
@@ -491,27 +565,26 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
 
     An array is made a dataset by ``WindowedDataset.of``; each chunk of
     ``_PREDICT_CHUNK`` windows is gathered from ``starts`` by the call
-    that predicts it, so the windows are never all held at once.  With
-    two chunks or more, two usable cores or more, and numpy's OpenBLAS
-    found, the chunks run in parallel (``_parallel_forward``); otherwise
-    one after another, as also inside ``_one_core``, where the processes
-    of ensemble's member pool each keep to one core and so never take
-    ``_predict_lock``.  The same windows in the same chunks give the
-    same bytes either way, from an array or a dataset; a window in
-    another chunk, or alone, agrees within rounding, since its bits can
-    depend on its row in the chunk through BLAS kernels.
+    that predicts it, so the windows are never all held at once.  The
+    chunks run on ``_forked_map``, one process per usable core but no
+    more than one per full chunk (``_pool_size``).  A fork costs about
+    4 ms: a 1,486-window GRU validation pass, one full chunk, took
+    11–17 ms forked and 8–9 ms in the plain loop (2-core box).  The
+    plain loop also runs on one usable core, inside a running pool such
+    as a bagging worker, and beside another thread.  The same windows in
+    the same chunks give the same bytes either way, from an array or a
+    dataset; a window in another chunk, or alone, agrees within
+    rounding, since its bits can depend on its row in the chunk through
+    BLAS kernels.
     """
     ds = WindowedDataset.of(windows)
     _check_batch(params, (ds.m, ds.l, ds.n))
     if ds.m == 0:
         return np.empty(0)
     fwd = _FORWARD[params.arch]
-    run = lambda a: fwd(params, ds.gather(slice(a, a + _PREDICT_CHUNK)), False)[0]
-    chunk_starts = range(0, ds.m, _PREDICT_CHUNK)
-    if (len(chunk_starts) < 2 or _serial_predict or _usable_cores() < 2
-            or _openblas_threads() is None):
-        return np.concatenate([run(a) for a in chunk_starts])
-    return np.concatenate(_parallel_forward(run, chunk_starts))
+    c = _PREDICT_CHUNK
+    run = lambda i: fwd(params, ds.gather(slice(i * c, (i + 1) * c)), False)[0]
+    return np.concatenate(_forked_map(run, -(-ds.m // c), _pool_size(ds.m // c)))
 
 
 def _penalty(params: NetworkParams, l2_lambda: float) -> float:

@@ -39,6 +39,22 @@ def blas_threads_restored(session_blas_threads):
         assert get_threads() == start, "OpenBLAS thread count changed by this test"
 
 
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The pid of every child ``os.fork`` makes during the test, as the
+    forking process records it: a child's own forks stay in its copy."""
+    made, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
 @pytest.fixture(scope="session")
 def acceptance_table():
     return generate_synthetic(SynthConfig(n_rows=ACCEPT_ROWS, seed=ACCEPT_SEED))

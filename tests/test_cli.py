@@ -650,15 +650,19 @@ class TestRun:
         assert sorted(os.listdir(out_dir)) == ["lr.tckm", "report.json"]
         assert "arima: ill-posed fit" in capsys.readouterr().err
 
-    def test_linear_run_starts_no_thread(self, cli_workspace, tmp_path):
-        """The prediction pool and concurrent.futures load on the first
-        parallel network prediction, never on import or for lr/arima."""
+    @pytest.mark.parametrize("models", [
+        ["--models", "lr,arima"],
+        ["--models", "cnn,gru", "--ensemble", "bagging", "--stack"],
+    ], ids=["linear", "bagged-networks"])
+    def test_run_starts_no_thread(self, cli_workspace, tmp_path, models):
+        """A run uses its second core through forked processes, never a
+        thread, and never loads concurrent.futures."""
         script = (
             "import sys, threading\n"
             "import trackcast.cli as cli\n"
             "print('concurrent.futures' in sys.modules)\n"
             "code = cli.main(['run', '--config', sys.argv[1], '--data', sys.argv[2],\n"
-            "                 '--out-dir', sys.argv[3], '--models', 'lr,arima'])\n"
+            "                 '--out-dir', sys.argv[3], *sys.argv[4:]])\n"
             "print(code, threading.active_count(), 'concurrent.futures' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -666,8 +670,8 @@ class TestRun:
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-c", script, cli_workspace["config"], cli_workspace["data"],
-             str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
+             str(tmp_path / "out"), *models],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
         )
         lines = proc.stdout.splitlines()
         assert lines[0] == "False"
@@ -1113,9 +1117,9 @@ class TestOneBlasThreadFromStart:
 
 
 class TestSteadyMemory:
-    """Every command pins glibc malloc to one arena and fixed mmap and
-    trim thresholds, and turns numpy's huge-page advice off, before it
-    starts; without ``mallopt`` it runs as is."""
+    """Every command pins glibc malloc's mmap and trim thresholds, caps
+    none of its arenas, and turns numpy's huge-page advice off, before
+    it starts; without ``mallopt`` it runs as is."""
 
     def fake_libc(self, monkeypatch, libc):
         """``ctypes.CDLL(None)`` gives ``libc``, or raises it when it is
@@ -1147,7 +1151,7 @@ class TestSteadyMemory:
                             lambda enabled: calls.append(("hugepage", enabled)))
         code, _ = run_cli(cli_workspace, tmp_path)
         assert code == EXIT_OK
-        assert calls == [(-8, 1), (-3, 4 << 20), (-1, 8 << 20), ("hugepage", False)]
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20), ("hugepage", False)]
 
     @pytest.mark.parametrize("libc", ["no mallopt", "no library"])
     def test_without_mallopt_the_command_runs(self, cli_workspace, tmp_path, monkeypatch, libc):

@@ -202,7 +202,7 @@ def two_cores(monkeypatch):
     where numpy's OpenBLAS is found, and runs the plain loop where not."""
     monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
     if neural._openblas_threads() is not None:
-        assert ens._pool_size(3) == 2
+        assert neural._pool_size(3) == 2
 
 
 @pytest.fixture
@@ -220,7 +220,7 @@ class TestMemberPool:
         cfg = fast_cfg()
         pooled = train_bagging(cfg, 3, tr, va)
         monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
-        assert ens._pool_size(3) == 1
+        assert neural._pool_size(3) == 1
         serial = train_bagging(cfg, 3, tr, va)
         for a, b in zip(pooled.members, serial.members, strict=True):
             assert a.vector.tobytes() == b.vector.tobytes()
@@ -231,29 +231,25 @@ class TestMemberPool:
         assert_no_child_left()
 
     def test_worker_holds_one_blas_thread_and_predicts_serially(
-            self, monkeypatch, pool_of_two):
+            self, monkeypatch, pool_of_two, forks):
         """The forked worker's state at its member reaches the caller:
         OpenBLAS at one thread, though this process ran two when the pool
-        started, and a two-chunk prediction that never took the thread
-        pool."""
+        started, and a three-chunk prediction that ran the plain loop
+        without a fork."""
         get_threads, set_threads = neural._openblas_threads()
         tr, va = make_ds(), make_ds(m=8, seed=9)
-        big = make_ds(m=neural._PREDICT_CHUNK + 1)
+        big = make_ds(m=2 * neural._PREDICT_CHUNK + 1)
         parent = os.getpid()
         real = ens._train_member
-
-        def no_pool(run, chunk_starts):
-            raise AssertionError("parallel prediction inside the member pool")
 
         def probe(c, seed, train_ds, val_ds):
             params, trace = real(c, seed, train_ds, val_ds)
             if os.getpid() != parent:
                 neural.predict_batch(params, big)
-                raise RuntimeError(os.getpid(), get_threads())
+                raise RuntimeError(os.getpid(), get_threads(), len(forks))
             return params, trace
 
         monkeypatch.setattr(ens, "_train_member", probe)
-        monkeypatch.setattr(neural, "_parallel_forward", no_pool)
         before = get_threads()
         set_threads(2)
         try:
@@ -262,9 +258,23 @@ class TestMemberPool:
             assert get_threads() == 2
         finally:
             set_threads(before)
-        worker, threads = info.value.args
-        assert worker != parent and threads == 1
-        assert not neural._serial_predict
+        worker, threads, worker_forks = info.value.args
+        assert worker != parent and threads == 1 and worker_forks == 0
+        assert forks == [worker] and not neural._in_pool
+        assert_no_child_left()
+
+    def test_member_predictions_give_the_plain_loop_bytes(self, monkeypatch, pool_of_two,
+                                                          forks):
+        """Each member's three-chunk prediction runs on two processes and
+        gives the plain loop's bytes."""
+        members = [some_params(seed=s) for s in range(3)]
+        ds = make_ds(m=2 * neural._PREDICT_CHUNK + 3)
+        pooled = member_predictions(members, ds)
+        assert len(forks) == 3
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        serial = member_predictions(members, ds)
+        assert len(forks) == 3
+        assert pooled.tobytes() == serial.tobytes()
         assert_no_child_left()
 
     @pytest.mark.parametrize("stop", [NumericDivergenceError, KeyboardInterrupt])
@@ -299,7 +309,7 @@ class TestMemberPool:
         outcomes = []
         for k in (2, 1):
             try:
-                outcomes.append(ens._forked_map(fn, 5, k))
+                outcomes.append(neural._forked_map(fn, 5, k))
             except ValueError as exc:
                 outcomes.append(exc.args)
             assert_no_child_left()
@@ -320,7 +330,7 @@ class TestMemberPool:
                 time.sleep(0.01)
             return i
 
-        assert ens._forked_map(fn, 4, 2) == [0, 1, 2, 3]
+        assert neural._forked_map(fn, 4, 2) == [0, 1, 2, 3]
         assert_no_child_left()
 
     def test_no_fork_beside_another_thread(self, pool_of_two):
@@ -328,7 +338,7 @@ class TestMemberPool:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert ens._pool_size(3) == 1
+            assert neural._pool_size(3) == 1
         finally:
             release.set()
             other.join(timeout=10)

@@ -1,6 +1,6 @@
+import os
 import sys
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -171,8 +171,9 @@ class TestInferenceMemory:
     @pytest.mark.parametrize("arch", ["lstm", "gru"])
     def test_dataset_evaluation_gathers_a_chunk_at_a_time(self, arch, monkeypatch):
         """``dataset_mse`` gathers each chunk's windows inside the call
-        that predicts it, so its peak holds about one chunk per pool
-        thread (two here), not the whole dataset's eight."""
+        that predicts it, so this process's peak holds about one chunk
+        (two processes share the chunks here), not the whole dataset's
+        eight."""
         monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
         l, n, m = 8, 16, 8 * neural._PREDICT_CHUNK
         rng = np.random.default_rng(0)
@@ -370,23 +371,34 @@ class TestEarlyStopper:
             EarlyStopper(patience=0)
 
 
-def parallel_blas_or_skip():
+def two_processes(monkeypatch):
+    """Two usable cores, so predict_batch's chunks run on this process
+    and one forked worker; skipped where numpy's OpenBLAS is not found,
+    since the chunks then always run the plain loop."""
     blas = neural._openblas_threads()
-    if blas is None or neural._usable_cores() < 2:
-        pytest.skip("the parallel path needs numpy's OpenBLAS and two usable cores")
+    if blas is None:
+        pytest.skip("the forked map needs numpy's OpenBLAS found")
+    monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
     return blas
 
 
-class TestParallelPredict:
-    """predict_batch's chunks run on a thread pool under one BLAS thread;
-    the reference is the serial path taken when no OpenBLAS is found."""
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 3 * 1024 + 5])
+
+class TestParallelPredict:
+    """predict_batch's chunks run on the forked map, one process per
+    usable core up to one per full chunk, each under one BLAS thread; the
+    reference is the plain loop, which runs on one usable core."""
+
+    @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 2 * 1024, 3 * 1024 + 5])
     @pytest.mark.parametrize("arch", ARCHS)
     def test_bit_identical_to_forced_serial(self, arch, m, monkeypatch):
-        """Each dataset's windows array, predicted in parallel, is the
-        reference: the dataset itself, which gathers chunk by chunk, and
-        the serial path give the same bytes."""
+        """Each dataset's windows array, predicted with two usable cores
+        (on two processes from two full chunks up), is the reference: the
+        dataset itself, which gathers chunk by chunk, and the plain loop
+        on one usable core give the same bytes."""
         ds = make_ds(m=m, seed=6)
         rng = np.random.default_rng(m)
         # a bootstrap sample repeats starts; a permuted subset unsorts them
@@ -397,57 +409,67 @@ class TestParallelPredict:
         def predictions():
             return [(predict_batch(p, d.windows), predict_batch(p, d)) for d in inputs]
 
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
         parallel = predictions()
-        monkeypatch.setattr(neural, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
         serial = predictions()
         for (want, from_ds), (serial_array, serial_ds) in zip(parallel, serial):
             assert want.shape == (m,)
             for got in (from_ds, serial_array, serial_ds):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_one_blas_thread_inside_and_restored_after(self, fails, monkeypatch):
-        get_threads, set_threads = parallel_blas_or_skip()
-        real = neural._FORWARD["gru"]
-        seen, finished = [], []
+        """Every chunk, here and in the worker, runs under one BLAS
+        thread, and the count is restored after, also where the first
+        chunk fails, which raises the plain loop's error."""
+        get_threads, set_threads = two_processes(monkeypatch)
+        c = neural._PREDICT_CHUNK
 
         def forward(params, x, need_cache):
-            seen.append((get_threads(), threading.current_thread() is threading.main_thread()))
-            if fails and np.array_equal(x, windows[: neural._PREDICT_CHUNK]):
-                raise RuntimeError("forward failed")  # the first chunk, at once
-            time.sleep(0.05)  # the other chunks are still running by then
-            out = real(params, x, need_cache)
-            finished.append(x.shape[0])
-            return out
+            if fails and np.array_equal(x, windows[:c]):
+                raise RuntimeError("forward failed")  # this process's first chunk
+            # each prediction says which process made it, under how many threads
+            return np.full(x.shape[0], os.getpid() * 100.0 + get_threads()), None
 
         monkeypatch.setitem(neural._FORWARD, "gru", forward)
-        ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
+        ds = make_ds(m=2 * c + 1, seed=6)
         windows = ds.windows  # each chunk is a gathered copy: found by value
         p = init_params(small_cfg("gru"), ds.n, ds.l)
         before = get_threads()
         set_threads(2)  # a restore to 1 would not show in a one-thread session
         try:
             if fails:
-                with pytest.raises(RuntimeError, match="forward failed"):
-                    predict_batch(p, windows)
+                raised = []
+                for cores in (2, 1):
+                    monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+                    with pytest.raises(RuntimeError) as info:
+                        predict_batch(p, windows)
+                    raised.append(str(info.value))
+                assert raised == ["forward failed"] * 2
             else:
-                predict_batch(p, windows)
+                got = predict_batch(p, windows)
             after = get_threads()
-            finished_on_return = sorted(finished)
         finally:
             set_threads(before)
         assert after == 2
-        # every chunk ran on a pool thread under one BLAS thread, and
-        # every chunk that did not fail had ended before the restore
-        assert seen == [(1, False)] * 3
-        c = neural._PREDICT_CHUNK
-        assert finished_on_return == ([1, c] if fails else [1, c, c])
+        assert_no_child_left()
+        if not fails:
+            pids, threads = np.divmod(got, 100.0)
+            assert set(threads) == {1.0}
+            # chunks 0 and 2 ran here, chunk 1 in the worker
+            assert set(pids[:c]) == set(pids[2 * c:]) == {os.getpid()}
+            assert len(set(pids[c : 2 * c])) == 1 and pids[c] != os.getpid()
 
-    def test_concurrent_callers_share_the_pool(self):
-        get_threads, set_threads = parallel_blas_or_skip()
+    def test_concurrent_callers_run_the_plain_loop(self, monkeypatch, forks):
+        """Callers on four threads never fork, since a fork copies the
+        other threads' locks, and get the plain loop's bytes."""
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 7, seed=8)
         p = init_params(small_cfg("lstm"), ds.n, ds.l)
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
         expected = predict_batch(p, ds.windows)
+        two_processes(monkeypatch)
         results, errors = [], []
 
         def caller():
@@ -457,8 +479,6 @@ class TestParallelPredict:
             except Exception as exc:  # reported by the assertions below
                 errors.append(exc)
 
-        before = get_threads()
-        set_threads(2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -468,23 +488,31 @@ class TestParallelPredict:
             for t in callers:
                 t.join(timeout=60)
             alive = [t.is_alive() for t in callers]
-            after = get_threads()
         finally:
             sys.setswitchinterval(interval)
-            set_threads(before)
         assert not any(alive) and errors == []
-        # interleaved save/set/restore pairs would leave one thread here
-        assert after == 2
+        assert forks == []
         assert len(results) == 40
-        assert all(np.array_equal(r, expected) for r in results)
+        assert all(r.tobytes() == expected.tobytes() for r in results)
 
-    def test_no_thread_outlives_the_call(self):
-        parallel_blas_or_skip()
+    @pytest.mark.parametrize("m, n_forks", [(1023, 0), (2047, 0), (2048, 1)])
+    def test_forks_only_for_two_full_chunks(self, m, n_forks, monkeypatch, forks):
+        """A fork costs more than a part chunk's forward, so a prediction
+        forks only where each process gets a full chunk."""
+        two_processes(monkeypatch)
+        ds = make_ds(m=m, seed=6)
+        predict_batch(init_params(small_cfg("gru"), ds.n, ds.l), ds)
+        assert len(forks) == n_forks
+        assert_no_child_left()
+
+    def test_no_child_outlives_the_call(self, monkeypatch, forks):
+        two_processes(monkeypatch)
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
         p = init_params(small_cfg("cnn"), ds.n, ds.l)
         predict_batch(p, ds.windows)
-        alive = [t.name for t in threading.enumerate() if t.name.startswith("trackcast-predict")]
-        assert alive == []
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert threading.active_count() == 1 and not neural._in_pool
 
 
 class TestDatasetMse:

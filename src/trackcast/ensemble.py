@@ -136,8 +136,7 @@ def train_bagging(
     ``EnsembleModel`` rejects zero members.
 
     The members train on ``neural._forked_map``, one process per usable
-    core up to one per member, each holding OpenBLAS to one thread and
-    predicting with the plain loop, as inside any running pool.  A
+    core up to one per member, each holding OpenBLAS to one thread.  A
     member is a function of its seed and the data alone, and the
     members come back in order, so the model is byte-identical to the
     one-after-another loop, which is what runs on one core, for one
@@ -221,8 +220,14 @@ def train_boosting(
 
 def member_predictions(members, windows) -> np.ndarray:
     """Column j holds member j's predictions for ``windows``, an
-    (m, l, n) array or a ``WindowedDataset`` (see ``predict_batch``)."""
-    return np.stack([predict_batch(p, windows) for p in members], axis=1)
+    (m, l, n) array or a ``WindowedDataset`` (see ``predict_batch``).
+
+    The members predict on ``neural._forked_map``, one process per
+    usable core up to one per member, like ``train_bagging``'s; each
+    column is the bytes the plain loop gives."""
+    n = len(members)
+    run = lambda j: predict_batch(members[j], windows)
+    return np.stack(neural._forked_map(run, n, neural._pool_size(n)), axis=1)
 
 
 def fit_stacker(preds: np.ndarray, targets: np.ndarray) -> Combiner:

@@ -40,9 +40,6 @@ _GRU_GATES = ("z", "r", "h")
 # the whole split in one call.
 _PREDICT_CHUNK = 1024
 _PR_SET_PDEATHSIG = 1  # prctl's option number, from <linux/prctl.h>
-# True while _forked_map's pool runs, here and in its workers: the
-# process has its core.  Process-wide, as no other thread runs then.
-_in_pool = False
 
 
 @dataclass(frozen=True)
@@ -459,12 +456,11 @@ def _one_blas_thread():
 
 def _pool_size(items: int) -> int:
     """Processes for ``_forked_map`` over ``items``: one per usable core,
-    at most one per item.  1 inside a running pool, which already keeps
-    each process to its core; where numpy's OpenBLAS is not found, so
-    its threads cannot be held to one; and where another thread runs: a
-    fork copies none of the other threads, but every lock they hold,
-    which nothing in the worker would release."""
-    if _in_pool or _openblas_threads() is None or threading.active_count() > 1:
+    at most one per item.  1 where numpy's OpenBLAS is not found, so its
+    threads cannot be held to one, and where another thread runs: a fork
+    copies none of the other threads, but every lock they hold, which
+    nothing in the worker would release."""
+    if _openblas_threads() is None or threading.active_count() > 1:
         return 1
     return max(1, min(items, _usable_cores()))
 
@@ -513,9 +509,9 @@ def _work(fn, items, out, inherited, parent: int) -> None:
 
 def _forked_map(fn, n: int, k: int) -> list:
     """``[fn(i) for i in range(n)]`` with item i computed by worker
-    ``i % k``, each worker on a core of its own: OpenBLAS held to one
-    thread (``_one_blas_thread``), and ``_pool_size`` 1 until the pool
-    ends, so a map started inside it is the plain loop.
+    ``i % k``, each worker on a core of its own, with OpenBLAS held to
+    one thread (``_one_blas_thread``).  Ensemble trains bagging's members
+    on it and predicts an ensemble's members.
 
     Worker 0 is this process: it forks workers 1 to k - 1 and computes
     its own items before it reads theirs, which each worker sends in one
@@ -526,11 +522,9 @@ def _forked_map(fn, n: int, k: int) -> list:
     worker is killed, if still running, and reaped before this returns
     or raises, also on an interrupt.  With k = 1 this is the plain loop.
     """
-    global _in_pool
     if k < 2:
         return [fn(i) for i in range(n)]
     pids, readers, parent = [], [], os.getpid()
-    before, _in_pool = _in_pool, True
     try:
         with _one_blas_thread():
             for w in range(1, k):
@@ -551,7 +545,6 @@ def _forked_map(fn, n: int, k: int) -> list:
                 results.append(done[i // k])
             return results
     finally:
-        _in_pool = before
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -566,13 +559,11 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
     An array is made a dataset by ``WindowedDataset.of``; each chunk of
     ``_PREDICT_CHUNK`` windows is gathered from ``starts`` by the call
     that predicts it, so the windows are never all held at once.  The
-    chunks run on ``_forked_map``, one process per usable core but no
-    more than one per full chunk (``_pool_size``).  A fork costs about
-    4 ms: a 1,486-window GRU validation pass, one full chunk, took
-    11–17 ms forked and 8–9 ms in the plain loop (2-core box).  The
-    plain loop also runs on one usable core, inside a running pool such
-    as a bagging worker, and beside another thread.  The same windows in
-    the same chunks give the same bytes either way, from an array or a
+    chunks run one after another in this process; ensemble's
+    ``member_predictions`` runs its members on ``_forked_map`` instead.
+    Forked per prediction, the chunks took an unbagged 38-epoch GRU run
+    18% more CPU time and no less wall time (2-core box).  The same
+    windows in the same chunks give the same bytes, from an array or a
     dataset; a window in another chunk, or alone, agrees within
     rounding, since its bits can depend on its row in the chunk through
     BLAS kernels.
@@ -583,8 +574,8 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
         return np.empty(0)
     fwd = _FORWARD[params.arch]
     c = _PREDICT_CHUNK
-    run = lambda i: fwd(params, ds.gather(slice(i * c, (i + 1) * c)), False)[0]
-    return np.concatenate(_forked_map(run, -(-ds.m // c), _pool_size(ds.m // c)))
+    return np.concatenate([fwd(params, ds.gather(slice(a, a + c)), False)[0]
+                           for a in range(0, ds.m, c)])
 
 
 def _penalty(params: NetworkParams, l2_lambda: float) -> float:

@@ -169,12 +169,10 @@ class TestInferenceMemory:
         assert peak < 4 * chunk_buffer
 
     @pytest.mark.parametrize("arch", ["lstm", "gru"])
-    def test_dataset_evaluation_gathers_a_chunk_at_a_time(self, arch, monkeypatch):
+    def test_dataset_evaluation_gathers_a_chunk_at_a_time(self, arch):
         """``dataset_mse`` gathers each chunk's windows inside the call
-        that predicts it, so this process's peak holds about one chunk
-        (two processes share the chunks here), not the whole dataset's
-        eight."""
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
+        that predicts it, so its peak holds about one chunk, not the whole
+        dataset's eight."""
         l, n, m = 8, 16, 8 * neural._PREDICT_CHUNK
         rng = np.random.default_rng(0)
         ds = WindowedDataset(rows=rng.normal(size=(m + l, n)), starts=np.arange(m),
@@ -372,9 +370,9 @@ class TestEarlyStopper:
 
 
 def two_processes(monkeypatch):
-    """Two usable cores, so predict_batch's chunks run on this process
-    and one forked worker; skipped where numpy's OpenBLAS is not found,
-    since the chunks then always run the plain loop."""
+    """Two usable cores, so a forked map of two items or more runs on
+    this process and one forked worker; skipped where numpy's OpenBLAS
+    is not found, since the map then always runs the plain loop."""
     blas = neural._openblas_threads()
     if blas is None:
         pytest.skip("the forked map needs numpy's OpenBLAS found")
@@ -388,17 +386,17 @@ def assert_no_child_left():
 
 
 class TestParallelPredict:
-    """predict_batch's chunks run on the forked map, one process per
-    usable core up to one per full chunk, each under one BLAS thread; the
-    reference is the plain loop, which runs on one usable core."""
+    """predict_batch runs its chunks one after another in the calling
+    process, on any number of cores.  Predictions use a second core only
+    as the items of the forked map (ensemble's ``member_predictions``),
+    each process under one BLAS thread."""
 
     @pytest.mark.parametrize("m", [0, 1, 1023, 1024, 1025, 2 * 1024, 3 * 1024 + 5])
     @pytest.mark.parametrize("arch", ARCHS)
     def test_bit_identical_to_forced_serial(self, arch, m, monkeypatch):
-        """Each dataset's windows array, predicted with two usable cores
-        (on two processes from two full chunks up), is the reference: the
-        dataset itself, which gathers chunk by chunk, and the plain loop
-        on one usable core give the same bytes."""
+        """Each dataset's windows array, predicted with two usable cores,
+        is the reference: the dataset itself, which gathers chunk by
+        chunk, and both with one usable core give the same bytes."""
         ds = make_ds(m=m, seed=6)
         rng = np.random.default_rng(m)
         # a bootstrap sample repeats starts; a permuted subset unsorts them
@@ -421,50 +419,51 @@ class TestParallelPredict:
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_one_blas_thread_inside_and_restored_after(self, fails, monkeypatch):
-        """Every chunk, here and in the worker, runs under one BLAS
-        thread, and the count is restored after, also where the first
-        chunk fails, which raises the plain loop's error."""
+        """Predictions made as the items of a forked map run under one
+        BLAS thread, here and in the worker, and the count is restored
+        after, also where the first item fails, which raises the plain
+        loop's error."""
         get_threads, set_threads = two_processes(monkeypatch)
-        c = neural._PREDICT_CHUNK
 
         def forward(params, x, need_cache):
-            if fails and np.array_equal(x, windows[:c]):
-                raise RuntimeError("forward failed")  # this process's first chunk
+            if fails and np.array_equal(x, windows[:5]):
+                raise RuntimeError("forward failed")  # item 0, in this process
             # each prediction says which process made it, under how many threads
             return np.full(x.shape[0], os.getpid() * 100.0 + get_threads()), None
 
         monkeypatch.setitem(neural._FORWARD, "gru", forward)
-        ds = make_ds(m=2 * c + 1, seed=6)
-        windows = ds.windows  # each chunk is a gathered copy: found by value
+        ds = make_ds(m=15, seed=6)
+        windows = ds.windows
         p = init_params(small_cfg("gru"), ds.n, ds.l)
+        run = lambda i: predict_batch(p, windows[5 * i : 5 * i + 5])
         before = get_threads()
         set_threads(2)  # a restore to 1 would not show in a one-thread session
         try:
             if fails:
                 raised = []
-                for cores in (2, 1):
-                    monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+                for k in (2, 1):
                     with pytest.raises(RuntimeError) as info:
-                        predict_batch(p, windows)
+                        neural._forked_map(run, 3, k)
                     raised.append(str(info.value))
                 assert raised == ["forward failed"] * 2
             else:
-                got = predict_batch(p, windows)
+                got = neural._forked_map(run, 3, neural._pool_size(3))
             after = get_threads()
         finally:
             set_threads(before)
         assert after == 2
         assert_no_child_left()
         if not fails:
-            pids, threads = np.divmod(got, 100.0)
-            assert set(threads) == {1.0}
-            # chunks 0 and 2 ran here, chunk 1 in the worker
-            assert set(pids[:c]) == set(pids[2 * c:]) == {os.getpid()}
-            assert len(set(pids[c : 2 * c])) == 1 and pids[c] != os.getpid()
+            pids, threads = np.divmod(np.stack(got), 100.0)
+            assert set(threads.ravel()) == {1.0}
+            # items 0 and 2 ran here, item 1 in the worker
+            assert set(pids[0]) == set(pids[2]) == {os.getpid()}
+            assert len(set(pids[1])) == 1 and pids[1][0] != os.getpid()
 
     def test_concurrent_callers_run_the_plain_loop(self, monkeypatch, forks):
-        """Callers on four threads never fork, since a fork copies the
-        other threads' locks, and get the plain loop's bytes."""
+        """Callers on four threads, with two usable cores, never fork and
+        get the plain loop's bytes: predict_batch keeps no state between
+        calls."""
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 7, seed=8)
         p = init_params(small_cfg("lstm"), ds.n, ds.l)
         monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
@@ -494,25 +493,6 @@ class TestParallelPredict:
         assert forks == []
         assert len(results) == 40
         assert all(r.tobytes() == expected.tobytes() for r in results)
-
-    @pytest.mark.parametrize("m, n_forks", [(1023, 0), (2047, 0), (2048, 1)])
-    def test_forks_only_for_two_full_chunks(self, m, n_forks, monkeypatch, forks):
-        """A fork costs more than a part chunk's forward, so a prediction
-        forks only where each process gets a full chunk."""
-        two_processes(monkeypatch)
-        ds = make_ds(m=m, seed=6)
-        predict_batch(init_params(small_cfg("gru"), ds.n, ds.l), ds)
-        assert len(forks) == n_forks
-        assert_no_child_left()
-
-    def test_no_child_outlives_the_call(self, monkeypatch, forks):
-        two_processes(monkeypatch)
-        ds = make_ds(m=2 * neural._PREDICT_CHUNK + 1, seed=6)
-        p = init_params(small_cfg("cnn"), ds.n, ds.l)
-        predict_batch(p, ds.windows)
-        assert len(forks) == 1
-        assert_no_child_left()
-        assert threading.active_count() == 1 and not neural._in_pool
 
 
 class TestDatasetMse:

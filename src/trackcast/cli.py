@@ -68,7 +68,7 @@ EXIT_DIVERGENCE = 4
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
-MODEL_NAMES = ("lr", "arima", "lstm", "gru", "cnn")
+MODEL_NAMES = ("lr", "arima", *net._ARCHS)
 _NET_SIZES = ("hidden_size", "kernel_count", "kernel_width")
 _NET_HINTS = field_types(net.NetworkConfig)
 # section -> key -> type: each section's keys are the fields of the
@@ -273,8 +273,8 @@ def _train_ensemble(net_cfg, split: SplitSet, ens_cfg: ens.EnsembleConfig):
 def _train_or_fail(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleConfig):
     """``_train_one_model``'s (entry, model) and no failure; or, for a fit
     that diverged (exit 4) or has too few samples (exit 3, a fault of the
-    data, not of the config), a ``failed`` entry, no model, and (exit
-    code, ``errors`` line)."""
+    data, not of the config), a ``failed`` entry, no model, and the
+    failure: (exit code, reason)."""
     try:
         return (*_train_one_model(name, setting, split, ens_cfg), None)
     except (NumericDivergenceError, IllPosedError) as exc:
@@ -306,12 +306,13 @@ def _print_table(header, rows) -> None:
         print("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
 
 
-def _report_failures(errors: dict, failure_codes: set) -> int:
-    """One sorted ``<key>: <reason>`` stderr line per failed fit, and the
-    exit code: the lowest failure code, else success."""
+def _report_failures(errors: dict) -> int:
+    """One sorted ``<key>: <reason>`` stderr line per failed fit in
+    ``errors`` (key -> (exit code, reason)), and the exit code: the
+    lowest failure code, else success."""
     for key in sorted(errors):
-        print(f"{key}: {errors[key]}", file=sys.stderr)
-    return min(failure_codes, default=EXIT_OK)
+        print(f"{key}: {errors[key][1]}", file=sys.stderr)
+    return min((code for code, _ in errors.values()), default=EXIT_OK)
 
 
 def cmd_synth(args) -> int:
@@ -351,24 +352,22 @@ def cmd_run(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     entries: dict[str, dict] = {}
-    errors: dict[str, str] = {}
-    failure_codes = set()
+    errors: dict[str, tuple[int, str]] = {}
     for name in models:
         t0 = time.perf_counter()
         entries[name], model, failure = _train_or_fail(name, settings[name], split, ens_cfg)
         if failure is None:
             save_model(model, os.path.join(args.out_dir, f"{name}.tckm"))
         else:
-            failure_codes.add(failure[0])
-            errors[name] = failure[1]
+            errors[name] = failure
         timings[f"train_{name}_seconds"] = time.perf_counter() - t0
 
     write_report({"config": echo, "audit": asdict(audit), "models": entries,
-                  "timings": timings, "errors": errors},
+                  "timings": timings, "errors": {k: why for k, (_, why) in errors.items()}},
                  os.path.join(args.out_dir, "report.json"))
     _print_table(("model", "split", "mse", "mae"),
                  [(name, *m) for name in sorted(entries) for m in _part_metrics(entries[name])])
-    return _report_failures(errors, failure_codes)
+    return _report_failures(errors)
 
 
 def _parse_proportions(raw: str) -> list[float]:
@@ -400,8 +399,7 @@ def cmd_filter_sweep(args) -> int:
 
     rows = []
     shared_audit = None
-    errors: dict[str, str] = {}
-    failure_codes = set()
+    errors: dict[str, tuple[int, str]] = {}
     for prop in proportions:
         t0 = time.perf_counter()
         split, audit = run_preprocess(table, pre_cfg, replace(base_filter, discard_proportion=prop))
@@ -409,8 +407,7 @@ def cmd_filter_sweep(args) -> int:
             shared_audit = asdict(replace(audit, filter=None))  # per row, not shared
         entry, _model, failure = _train_or_fail(swept_model, setting, split, ens_cfg)
         if failure is not None:
-            failure_codes.add(failure[0])
-            errors[f"proportion={prop}"] = failure[1]
+            errors[f"proportion={prop}"] = failure
         row = {
             "proportion": prop,
             "candidates": audit.filter["candidates"],
@@ -424,11 +421,12 @@ def cmd_filter_sweep(args) -> int:
 
     write_report({"config": dict(cfg, _overrides={"proportions": args.proportions}),
                   "audit": shared_audit, "models": {}, "timings": timings,
-                  "sweep": [dict(r, model=swept_model) for r in rows], "errors": errors},
+                  "sweep": [dict(r, model=swept_model) for r in rows],
+                  "errors": {k: why for k, (_, why) in errors.items()}},
                  args.out)
     header = ("proportion", "discarded", "train_mse", "val_mse", "test_mse")
     _print_table(header, [[row[k] for k in header] for row in rows])
-    return _report_failures(errors, failure_codes)
+    return _report_failures(errors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--data", required=True)
     p_run.add_argument("--out-dir", required=True)
     p_run.add_argument("--models", default=None,
-                       help="comma-separated subset of lr,arima,lstm,gru,cnn")
+                       help=f"comma-separated subset of {','.join(MODEL_NAMES)}")
     p_run.add_argument("--ensemble", default=None, choices=ens.ENSEMBLE_METHODS)
     p_run.add_argument("--stack", action="store_true", default=None)
     p_run.add_argument("--filter-proportion", type=float, default=None)
@@ -503,21 +501,17 @@ def main(argv=None) -> int:
     try:
         with net._one_blas_thread():
             return args.func(args)
-    except IllPosedError as exc:
+    # IllPosedError first: it is an InvalidArgumentError, but a fault of the data
+    except (IllPosedError, SchemaError, DataFormatError, IntegrityError,
+            UnsupportedVersionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SchemaError, DataFormatError, IntegrityError, UnsupportedVersionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NumericDivergenceError as exc:
-        print(f"numeric divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
 
 
 def entry() -> None:

@@ -63,18 +63,11 @@ def _solve_normal_equations(design: np.ndarray, response: np.ndarray):
     feature columns).  Returns (coefficients, fallback_used)."""
     gram = design.T @ design
     rhs = design.T @ response
-    fallback = False
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    fallback = bool(not np.isfinite(cond) or cond > _COND_LIMIT)
+    if fallback:
         gram = gram + _RIDGE * np.eye(gram.shape[0])
-        fallback = True
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        gram = gram + _RIDGE * np.eye(gram.shape[0])
-        fallback = True
-        coef = np.linalg.solve(gram, rhs)
-    return coef, fallback
+    return np.linalg.solve(gram, rhs), fallback
 
 
 def fit_linear(ds: WindowedDataset) -> LinearModel:

@@ -85,10 +85,7 @@ def _ensemble_manifest(model: EnsembleModel):
         "method": model.method,
         "boost_threshold": model.boost_threshold,
         "members": members,
-        "combiner": {
-            "kind": model.combiner.kind,
-            "fallback_reason": model.combiner.fallback_reason,
-        },
+        "combiner": {k: getattr(model.combiner, k) for k in _COMBINER_META},
     }
     if model.combiner.kind == "stacker":
         arrays.append(("stacker_weights", np.asarray(model.combiner.weights)))
@@ -104,18 +101,12 @@ def _ensemble_from_manifest(meta, lookup) -> EnsembleModel:
     )
     c_meta = _read(meta["combiner"], _COMBINER_META)
     if c_meta["kind"] == "stacker":
-        combiner = Combiner(
-            kind="stacker",
-            weights=tuple(float(w) for w in np.atleast_1d(lookup.pop("stacker_weights"))),
-            bias=_scalar(lookup.pop("stacker_bias")),
-            fallback_reason=c_meta["fallback_reason"],
-        )
-    else:
-        combiner = Combiner(kind=c_meta["kind"], fallback_reason=c_meta["fallback_reason"])
+        c_meta["weights"] = tuple(float(w) for w in np.atleast_1d(lookup.pop("stacker_weights")))
+        c_meta["bias"] = _scalar(lookup.pop("stacker_bias"))
     threshold = meta["boost_threshold"]
     return EnsembleModel(
         members=members,
-        combiner=combiner,
+        combiner=Combiner(**c_meta),
         method=meta["method"],
         boost_threshold=None if threshold is None else float(threshold),
     )

@@ -35,9 +35,8 @@ _LSTM_GATES = ("i", "f", "o", "g")
 _GRU_GATES = ("z", "r", "h")
 
 # Windows per forward call in predict_batch.  Of 1024, 2048 and 4096,
-# 1024 ran fastest on a 21,796-window split (2-core box), serially and
-# on two threads: LSTM 113/118/133 and 61/63/75 ms, against 122 ms for
-# the whole split in one call.
+# 1024 ran fastest on a 21,796-window split (2-core box): LSTM
+# 113/118/133 ms, against 122 ms for the whole split in one call.
 _PREDICT_CHUNK = 1024
 _PR_SET_PDEATHSIG = 1  # prctl's option number, from <linux/prctl.h>
 
@@ -732,27 +731,30 @@ def train(cfg: NetworkConfig, train_ds: WindowedDataset, val_ds: WindowedDataset
                           stopped_epoch=len(val_losses), best_epoch=stopper.best_epoch,
                           restored=restored)
 
-    for _epoch in range(1, cfg.max_epochs + 1):
-        perm = shuffle_rng.permutation(train_ds.m)
-        for start in range(0, train_ds.m, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            try:
-                loss_and_grads(params, train_ds.gather(idx), train_ds.targets[idx],
-                               cfg.l2_lambda, out=grads)
-            except NumericDivergenceError as exc:
-                raise NumericDivergenceError(str(exc), trace=trace_so_far()) from None
-            adam_step(params, grads, state, cfg.learning_rate)
-        train_mse = dataset_mse(params, train_ds)
-        val_mse = dataset_mse(params, val_ds)
-        if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
-            raise NumericDivergenceError("non-finite epoch loss", trace=trace_so_far())
-        train_losses.append(train_mse)
-        val_losses.append(val_mse)
-        improved, stop = stopper.update(val_mse)
-        if improved:
-            np.copyto(best, params.vector)
-        if stop:
-            break
+    # every non-finite value below ends as NumericDivergenceError, so
+    # numpy's overflow and invalid-value warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(1, cfg.max_epochs + 1):
+            perm = shuffle_rng.permutation(train_ds.m)
+            for start in range(0, train_ds.m, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                try:
+                    loss_and_grads(params, train_ds.gather(idx), train_ds.targets[idx],
+                                   cfg.l2_lambda, out=grads)
+                except NumericDivergenceError as exc:
+                    raise NumericDivergenceError(str(exc), trace=trace_so_far()) from None
+                adam_step(params, grads, state, cfg.learning_rate)
+            train_mse = dataset_mse(params, train_ds)
+            val_mse = dataset_mse(params, val_ds)
+            if not (np.isfinite(train_mse) and np.isfinite(val_mse)):
+                raise NumericDivergenceError("non-finite epoch loss", trace=trace_so_far())
+            train_losses.append(train_mse)
+            val_losses.append(val_mse)
+            improved, stop = stopper.update(val_mse)
+            if improved:
+                np.copyto(best, params.vector)
+            if stop:
+                break
 
     # the first epoch always improves on inf, and without a restore the
     # best epoch is the last one, so ``best`` holds the weights to return

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -586,6 +587,20 @@ class TestTrain:
         assert isinstance(trace, TrainTrace)
         assert trace.stopped_epoch == len(trace.val_losses)
         assert not trace.restored
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_one_step_overflow_diverges_at_the_epoch_loss(self, arch):
+        """One minibatch per epoch: the one Adam step at a 1e300 rate
+        overflows the weights before any epoch is evaluated, so the
+        epoch loss is what fails, with an empty trace and no warning."""
+        tr, va = make_ds(seed=4), make_ds(m=8, seed=5)
+        cfg = small_cfg(arch, batch_size=tr.m, learning_rate=1e300)
+        with warnings.catch_warnings(), pytest.raises(NumericDivergenceError) as exc:
+            warnings.simplefilter("error")
+            train(cfg, tr, va)
+        assert str(exc.value) == "non-finite epoch loss"
+        assert exc.value.trace == TrainTrace(train_losses=(), val_losses=(), stopped_epoch=0,
+                                             best_epoch=0, restored=False)
 
     def test_huge_targets_diverge(self):
         tr = make_ds(seed=4, target_scale=1e160)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -283,6 +284,51 @@ class TestIoErrors:
                      "--data", str(bad), "--out-dir", str(out_dir)])
         assert code == EXIT_IO
         assert "not valid UTF-8" in capsys.readouterr().err
+
+
+class TestDocumentedFailures:
+    """A documented failure ends in its exit code with one stderr line
+    and no stdout.  ``config`` replaces the workspace config (JSON text,
+    None to keep it); ``{out}`` in the arguments is a path in a fresh
+    directory, ``{file}`` an existing file, ``{missing}`` a directory
+    that does not exist."""
+
+    @pytest.mark.parametrize("config, argv, code, line", [
+        ("[]", ["run", "--out-dir", "{out}"], EXIT_CONFIG,
+         "config error: config root must be a JSON object"),
+        ('{"model": 3}', ["run", "--out-dir", "{out}"], EXIT_CONFIG,
+         "config error: config section 'model' must be an object"),
+        ('{"model": {"models": []}}', ["run", "--out-dir", "{out}"], EXIT_CONFIG,
+         "config error: no models selected"),
+        (None, ["run", "--out-dir", "{out}", "--models", ","], EXIT_CONFIG,
+         "config error: no models selected"),
+        (None, ["filter-sweep", "--out", "{out}", "--proportions", ","], EXIT_CONFIG,
+         "config error: at least one proportion is required"),
+        ('{"ensemble": {"method": "foo"}}', ["run", "--out-dir", "{out}"], EXIT_CONFIG,
+         "config error: ensemble method must be one of none, bagging, boosting"),
+        (None, ["run", "--out-dir", "{file}"], EXIT_IO,
+         f"i/o error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{{file}}'"),
+        (None, ["filter-sweep", "--out", "{missing}/sweep.json", "--proportions", "0"], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/"),
+    ], ids=["root-not-object", "section-not-object", "no-models", "models-flag-empty",
+            "no-proportions", "unknown-ensemble-method", "out-dir-is-a-file",
+            "sweep-out-in-missing-directory"])
+    def test_exit_code_and_one_line(self, cli_workspace, tmp_path, capsys,
+                                    config, argv, code, line):
+        config_path = cli_workspace["config"]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(config, encoding="utf-8")
+        (tmp_path / "file").write_text("")
+        paths = {"out": tmp_path / "out", "file": tmp_path / "file",
+                 "missing": tmp_path / "missing"}
+        argv = [a.format(**paths) for a in argv]
+        assert main([argv[0], "--config", str(config_path), "--data", cli_workspace["data"],
+                     *argv[1:]]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(line.format(**paths))
+        assert not (tmp_path / "out").exists()
 
 
 class TestDataFileFaults:
@@ -627,6 +673,27 @@ class TestRun:
         assert (out_dir / "lr.tckm").is_file()
         assert not (out_dir / "lstm.tckm").exists()
         assert "divergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ensemble", [[], ["--ensemble", "bagging"]],
+                             ids=["plain", "bagged"])
+    def test_divergence_prints_only_its_line(self, cli_workspace, tmp_path, ensemble):
+        """A diverging network's stderr is its one failure line: numpy's
+        overflow warnings, which named the source file and line, print
+        neither here nor in a forked bagging worker."""
+        cfg = json.loads(json.dumps(cli_workspace["config_dict"]))
+        cfg["train"]["learning_rate"] = 1e300
+        cfg["ensemble"] = {"members": 2}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trackcast.cli", "run", "--config", write_config(tmp_path, cfg),
+             "--data", cli_workspace["data"], "--out-dir", str(tmp_path / "out"),
+             "--models", "lr,gru", *ensemble],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_DIVERGENCE, "gru: numeric divergence: non-finite training loss\n")
 
     def test_ill_posed_fit_keeps_partial_report(self, tmp_path, capsys):
         # 16 rows leave 6 train windows: enough for lr, too few for the
@@ -1100,14 +1167,15 @@ class TestOneBlasThreadFromStart:
                       OPENBLAS_NUM_THREADS="2")
         assert out.split() == ["False", "True"]
 
-    @pytest.mark.parametrize("entry", ["cli-module", "console-script"])
+    @pytest.mark.parametrize("entry", ["cli-module", "package-module", "console-script"])
     def test_entry_starts_one_openblas_thread(self, entry):
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("counts threads in Linux's /proc/self/task")
         if int(_python("import numpy\n" + self.THREADS, OPENBLAS_NUM_THREADS="2")) < 2:
             pytest.skip("numpy starts no second OpenBLAS thread here")
-        if entry == "cli-module":  # python -m trackcast.cli
-            run = "import runpy\nrunpy.run_module('trackcast.cli', run_name='__main__')"
+        modules = {"cli-module": "trackcast.cli", "package-module": "trackcast"}
+        if entry in modules:  # python -m trackcast.cli, python -m trackcast
+            run = f"import runpy\nrunpy.run_module({modules[entry]!r}, run_name='__main__')"
         else:
             run = "from {0} import {1}\n{1}()".format(*_console_script())
         out = _python("import sys\nsys.argv = ['trackcast', '--help']\n"

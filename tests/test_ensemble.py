@@ -345,6 +345,33 @@ class TestMemberPool:
             other.join(timeout=10)
         assert not other.is_alive()
 
+    def test_without_openblas_nothing_forks(self, monkeypatch, two_cores, forks):
+        """Where numpy's OpenBLAS is not found, ``_one_blas_thread`` sets
+        no thread count, and bagging on two usable cores runs the plain
+        loop: no fork, and the bytes of one usable core."""
+        tr, va = make_ds(), make_ds(m=8, seed=9)
+        cfg = fast_cfg()
+        real = neural._openblas_threads()
+        monkeypatch.setattr(neural, "_openblas_threads", lambda: None)
+        if real is not None:  # the count set before the block holds inside it
+            get_threads, set_threads = real
+            before = get_threads()
+            set_threads(2)
+            try:
+                with neural._one_blas_thread():
+                    inside = get_threads()
+                assert (inside, get_threads()) == (2, 2)
+            finally:
+                set_threads(before)
+        assert neural._pool_size(3) == 1
+        bagged = train_bagging(cfg, 3, tr, va)
+        assert forks == []
+        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        serial = train_bagging(cfg, 3, tr, va)
+        for a, b in zip(bagged.members, serial.members, strict=True):
+            assert a.vector.tobytes() == b.vector.tobytes()
+        assert bagged.member_traces == serial.member_traces
+
     def test_worker_that_dies_is_reported(self, monkeypatch, pool_of_two):
         tr, va = make_ds(), make_ds(m=8, seed=9)
         parent = os.getpid()

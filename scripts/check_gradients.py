@@ -23,16 +23,16 @@ def arimax_jacobian_error(windows, targets, order, step, seed) -> float:
     p, d, q = order
     ds = WindowedDataset(windows=windows, targets=targets, l=windows.shape[1],
                          n=windows.shape[2], target_feature=0)
-    z, zy, xcols, at = _window_diff_parts(ds, d)
+    z, zy, xcols, base = _window_diff_parts(ds, d)
     vec = np.random.default_rng(seed).normal(scale=0.3, size=1 + p + q + ds.n - 1)
-    _, _, eps = _css_parts(vec, p, q, z, zy, xcols, at)
-    jac = _residual_jacobian(vec, p, q, z, eps, xcols, at)
+    _, _, eps = _css_parts(vec, p, q, z, zy, xcols, base)
+    jac = _residual_jacobian(vec, p, q, z, eps, xcols, base)
     num = np.empty_like(jac)
     for k in range(vec.size):
         bump = np.zeros_like(vec)
         bump[k] = step
-        num[k] = (_css_parts(vec + bump, p, q, z, zy, xcols, at)[1]
-                  - _css_parts(vec - bump, p, q, z, zy, xcols, at)[1]) / (2 * step)
+        num[k] = (_css_parts(vec + bump, p, q, z, zy, xcols, base)[1]
+                  - _css_parts(vec - bump, p, q, z, zy, xcols, base)[1]) / (2 * step)
     return float(np.max(np.abs(jac - num) / np.maximum(np.abs(jac) + np.abs(num), 1e-8)))
 
 

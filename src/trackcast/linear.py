@@ -25,6 +25,7 @@ _LM_DAMPING = 1e-3
 _LM_MAX_DAMPING = 1e16
 _LM_MAX_EVALS = 100
 _LM_RTOL = 1e-8
+_QR_BLOCK = 4096  # windows per row block of a streamed regression
 
 
 @dataclass(frozen=True)
@@ -169,32 +170,31 @@ class ArimaxModel:
 def _window_diff_parts(ds: WindowedDataset, d: int):
     """Differenced in-window series (time-major, one row of m windows per
     position), differenced responses, the table's exogenous columns (views,
-    in feature order), and the table row each position of each window
-    reads, ``starts + d + t`` (time-major too).  No (m, l) block of any
-    exogenous feature is gathered."""
+    in feature order), and each window's base row ``starts + d``: position
+    t of a window reads table row ``base + t``.  No (m, l) block of any
+    exogenous feature, nor of table rows, is held."""
     tf = ds.target_feature
     series = np.concatenate([ds.feature(tf), ds.targets[:, None]], axis=1)  # (m, l+1)
     diffed = np.diff(series, n=d, axis=1) if d else series
     z = np.ascontiguousarray(diffed[:, :-1].T)
     zy = diffed[:, -1]
     xcols = [ds.rows[:, j] for j in _exog_indices(ds.n, tf)]
-    at = ds.starts + d + np.arange(ds.l - d)[:, None]
-    return z, zy, xcols, at
+    return z, zy, xcols, ds.starts + d
 
 
-def _exog_term(beta, xcols, at) -> np.ndarray:
-    """``beta . x`` at the table rows ``at``, shaped like ``at``: one
-    table-wide projection, summed column by column in a fixed order, so
-    a row's bits do not depend on its position in the table."""
+def _exog_projection(beta, xcols):
+    """``beta . x`` on every table row, summed column by column in a fixed
+    order, so a row's bits do not depend on its position in the table;
+    None without exogenous columns."""
     if not xcols:
-        return np.zeros(at.shape)
+        return None
     proj = beta[0] * xcols[0]
     for b, col in zip(beta[1:], xcols[1:]):
         proj += b * col
-    return proj[at]
+    return proj
 
 
-def _arimax_forward(c, phi, theta, beta, z, xcols, at):
+def _arimax_forward(c, phi, theta, beta, z, xcols, base):
     """Residual recursion and one-step forecast, vectorized over windows.
 
     ``z`` is time-major, shape (L, m).  The recursion starts at t = p
@@ -205,15 +205,19 @@ def _arimax_forward(c, phi, theta, beta, z, xcols, at):
     big_l, m = z.shape
     p, q = phi.shape[0], theta.shape[0]
     eps = np.zeros((big_l, m))
-    ex = _exog_term(beta, xcols, at)
+    proj = _exog_projection(beta, xcols)
+
+    def ex(t):  # each window's exogenous term at position t
+        return np.zeros(m) if proj is None else proj[base + t]
+
     for t in range(p, big_l):
-        pred = c + ex[t]
+        pred = c + ex(t)
         for i in range(1, p + 1):
             pred = pred + phi[i - 1] * z[t - i]
         for j in range(1, min(q, t) + 1):
             pred = pred + theta[j - 1] * eps[t - j]
         eps[t] = z[t] - pred
-    zhat = c + ex[-1]
+    zhat = c + ex(big_l - 1)
     for i in range(1, p + 1):
         zhat = zhat + phi[i - 1] * z[big_l - i]
     for j in range(1, q + 1):
@@ -225,16 +229,16 @@ def _unpack(vec, p, q):
     return float(vec[0]), vec[1 : 1 + p], vec[1 + p : 1 + p + q], vec[1 + p + q :]
 
 
-def _css_parts(vec, p, q, z, zy, xcols, at):
+def _css_parts(vec, p, q, z, zy, xcols, base):
     """Conditional sum of squares, forecast residuals and in-window
     residuals at the packed parameters ``vec``."""
     c, phi, theta, beta = _unpack(vec, p, q)
-    zhat, eps = _arimax_forward(c, phi, theta, beta, z, xcols, at)
+    zhat, eps = _arimax_forward(c, phi, theta, beta, z, xcols, base)
     r = zy - zhat
     return float(r @ r), r, eps
 
 
-def _residual_jacobian(vec, p, q, z, eps, xcols, at, out=None) -> np.ndarray:
+def _residual_jacobian(vec, p, q, z, eps, xcols, base, out=None) -> np.ndarray:
     """d r / d vec for the forecast residuals r = zy - zhat, shape (k, m),
     by forward-mode accumulation through the residual recursion; written
     into ``out`` when given.
@@ -266,11 +270,11 @@ def _residual_jacobian(vec, p, q, z, eps, xcols, at, out=None) -> np.ndarray:
     v = w[:-1].copy()
     v[-1] += w[-1]
     for k, col in enumerate(xcols):
-        jac[1 + p + q + k] = np.convolve(col, v[::-1], "valid")[at[p]]
+        jac[1 + p + q + k] = np.convolve(col, v[::-1], "valid")[base + p]
     return np.negative(jac, out=jac)
 
 
-def _refine_css(vec, parts, p, q, z, zy, xcols, at):
+def _refine_css(vec, parts, p, q, z, zy, xcols, base):
     """Levenberg–Marquardt (damped Gauss–Newton) descent on the CSS from
     ``vec``, whose ``_css_parts`` are ``parts``.  A step s solves
     (J J' + lam diag(J J')) s = -J r; a step that lowers the CSS is taken
@@ -280,14 +284,14 @@ def _refine_css(vec, parts, p, q, z, zy, xcols, at):
     (vec, css, whether any step was taken).
     """
     css, r, eps = parts
-    jac = _residual_jacobian(vec, p, q, z, eps, xcols, at)
+    jac = _residual_jacobian(vec, p, q, z, eps, xcols, base)
     lam, evals, moved = _LM_DAMPING, 1, False
     while evals < _LM_MAX_EVALS and lam < _LM_MAX_DAMPING:
         a = jac @ jac.T
         step = np.linalg.lstsq(a + lam * np.diag(np.diag(a)), -(jac @ r), rcond=None)[0]
         cand = vec + step
         with np.errstate(over="ignore", invalid="ignore"):
-            cand_css, cand_r, cand_eps = _css_parts(cand, p, q, z, zy, xcols, at)
+            cand_css, cand_r, cand_eps = _css_parts(cand, p, q, z, zy, xcols, base)
         evals += 1
         if not cand_css < css:  # also rejects nan and inf
             lam *= 10.0
@@ -297,12 +301,12 @@ def _refine_css(vec, parts, p, q, z, zy, xcols, at):
         if converged:
             break
         lam *= 0.1
-        _residual_jacobian(vec, p, q, z, eps, xcols, at, out=jac)
+        _residual_jacobian(vec, p, q, z, eps, xcols, base, out=jac)
         evals += 1
     return vec, css, moved
 
 
-def _reflected_ma1(vec, p, z, zy, xcols, at) -> np.ndarray:
+def _reflected_ma1(vec, p, z, zy, xcols, base) -> np.ndarray:
     """The MA(1) start ``vec`` mirrored to the invertible side: theta
     becomes 1 / theta, and c, phi and beta are re-solved for the least
     CSS at that theta.  At a fixed theta the forecast residuals are
@@ -311,46 +315,61 @@ def _reflected_ma1(vec, p, z, zy, xcols, at) -> np.ndarray:
     of those rows is exact."""
     cand = vec.copy()
     cand[1 + p] = 1.0 / vec[1 + p]
-    _, r, eps = _css_parts(cand, p, 1, z, zy, xcols, at)
-    jac = _residual_jacobian(cand, p, 1, z, eps, xcols, at)
+    _, r, eps = _css_parts(cand, p, 1, z, zy, xcols, base)
+    jac = _residual_jacobian(cand, p, 1, z, eps, xcols, base)
     free = np.r_[0 : 1 + p, 2 + p : vec.shape[0]]  # every coordinate but theta
     a = (jac @ jac.T)[np.ix_(free, free)]
     cand[free] -= np.linalg.lstsq(a, (jac @ r)[free], rcond=None)[0]
     return cand
 
 
-def _initial_residuals(z, xcols, at, order: int) -> np.ndarray:
+def _design_block(lags, xcols, rows, response) -> np.ndarray:
+    """[1, lags, the exogenous features of table rows ``rows`` | response]
+    for one block of windows: one row each, columns in the order of the
+    packed parameters."""
+    out = np.empty((response.shape[0], len(lags) + len(xcols) + 2), order="F")
+    out[:, 0] = 1.0
+    for i, col in enumerate([*lags, *(x[rows] for x in xcols), response], 1):
+        out[:, i] = col
+    return out
+
+
+def _blocked_lstsq(blocks, n_rows) -> np.ndarray:
+    """Least-squares coefficients of the design whose [design | response]
+    rows the iterator ``blocks`` yields (``n_rows`` rows in all), never
+    held whole: each block updates the R factor by QR, and R is solved
+    with lstsq's cutoff for the whole design, so its rank decision and
+    minimum-norm solution are those of lstsq on that design."""
+    r = np.linalg.qr(next(blocks), mode="r")
+    for b in blocks:
+        r = np.linalg.qr(np.vstack([r, b]), mode="r")
+    k = r.shape[1] - 1
+    return np.linalg.lstsq(r[:k, :k], r[:k, k], rcond=np.finfo(np.float64).eps * n_rows)[0]
+
+
+def _initial_residuals(z, xcols, base, order: int) -> np.ndarray:
     """Time-major residuals of one long autoregression of the given
     order, with each position's exogenous row, fitted to every in-window
     position t >= order; zero before.  The (L - order) * m-row design is
-    never held: each position's block of m rows updates the R factor of
-    [design | response] by QR, which keeps lstsq's accuracy, and a
-    second pass forms each block's residuals."""
+    streamed by position and block of windows through ``_blocked_lstsq``,
+    and a second pass over the same blocks forms the residuals."""
     big_l, m = z.shape
     k = 1 + order + len(xcols)
     n_rows = (big_l - order) * m
     if n_rows <= k:
         raise IllPosedError("too few windows for the residual regression")
 
-    def block(t):  # [1, z lags, exogenous row | response] at position t
-        out = np.empty((m, k + 1), order="F")
-        out[:, 0] = 1.0
-        for i in range(1, order + 1):
-            out[:, i] = z[t - i]
-        for j, col in enumerate(xcols):
-            out[:, order + 1 + j] = col[at[t]]
-        out[:, k] = z[t]
-        return out
+    def block(t, w):  # the windows w at position t
+        lags = [z[t - i, w] for i in range(1, order + 1)]
+        return _design_block(lags, xcols, base[w] + t, z[t, w])
 
-    r = np.empty((0, k + 1))
-    for t in range(order, big_l):
-        r = np.linalg.qr(np.vstack([r, block(t)]), mode="r")
-    # lstsq's default cutoff for the whole design, so rank decisions match
-    coef = np.linalg.lstsq(r[:k, :k], r[:k, k], rcond=np.finfo(np.float64).eps * n_rows)[0]
+    spans = [(t, slice(a, a + _QR_BLOCK))
+             for t in range(order, big_l) for a in range(0, m, _QR_BLOCK)]
+    coef = _blocked_lstsq((block(t, w) for t, w in spans), n_rows)
     eps0 = np.zeros((big_l, m))
-    for t in range(order, big_l):
-        b = block(t)
-        eps0[t] = b[:, k] - b[:, :k] @ coef
+    for t, w in spans:
+        b = block(t, w)
+        eps0[t, w] = b[:, k] - b[:, :k] @ coef
     return eps0
 
 
@@ -407,34 +426,30 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     if ds.m == 0:
         raise IllPosedError("cannot fit on an empty dataset")
 
-    z, zy, xcols, at = _window_diff_parts(ds, d)
+    z, zy, xcols, base = _window_diff_parts(ds, d)
     big_l, m = z.shape
 
-    eps0 = _initial_residuals(z, xcols, at, p + q + 2) if q > 0 else np.zeros((big_l, m))
+    eps0 = _initial_residuals(z, xcols, base, p + q + 2) if q > 0 else None
+    lags = [z[big_l - i] for i in range(1, p + 1)] + [eps0[big_l - j] for j in range(1, q + 1)]
+    k = 1 + len(lags) + len(xcols)
+    if m <= k:
+        raise IllPosedError(f"{m} windows cannot determine {k} coefficients")
+    blocks = (slice(a, a + _QR_BLOCK) for a in range(0, m, _QR_BLOCK))
+    coef1 = _blocked_lstsq((_design_block([c[w] for c in lags], xcols, base[w] + big_l - 1, zy[w])
+                            for w in blocks), m)  # exogenous features of each newest row
+    del eps0, lags
 
-    cols = [np.ones(m)]
-    cols += [z[big_l - i] for i in range(1, p + 1)]
-    cols += [eps0[big_l - j] for j in range(1, q + 1)]
-    cols += [col[at[-1]] for col in xcols]  # the newest row's exogenous features
-    design1 = np.column_stack(cols)
-    if m <= design1.shape[1]:
-        raise IllPosedError(
-            f"{m} windows cannot determine {design1.shape[1]} coefficients"
-        )
-    coef1, *_ = np.linalg.lstsq(design1, zy, rcond=None)
-    del eps0, cols, design1
-
-    parts = _css_parts(coef1, p, q, z, zy, xcols, at)
+    parts = _css_parts(coef1, p, q, z, zy, xcols, base)
     css_initial = parts[0]
     vec, css_final, warning = coef1, css_initial, False
     if q == 1 and abs(coef1[1 + p]) > 1:
-        mirror = _reflected_ma1(coef1, p, z, zy, xcols, at)
-        mirror_parts = _css_parts(mirror, p, q, z, zy, xcols, at)
+        mirror = _reflected_ma1(coef1, p, z, zy, xcols, base)
+        mirror_parts = _css_parts(mirror, p, q, z, zy, xcols, base)
         if mirror_parts[0] < css_initial:
             vec, parts = mirror, mirror_parts
         del mirror_parts  # the losing start's residuals go before refining
     if q > 0:
-        vec, css_final, moved = _refine_css(vec, parts, p, q, z, zy, xcols, at)
+        vec, css_final, moved = _refine_css(vec, parts, p, q, z, zy, xcols, base)
         warning = not moved and vec is coef1
 
     c, phi, theta, beta = _unpack(vec, p, q)
@@ -468,8 +483,8 @@ def predict_arimax_batch(model: ArimaxModel, data) -> np.ndarray:
     needed = max(model.p + model.d, model.d + 1, model.q + model.d)
     if ds.l < needed:
         raise InvalidArgumentError(f"window must supply at least {needed} past rows")
-    z, _, xcols, at = _window_diff_parts(ds, model.d)
-    zhat, _ = _arimax_forward(model.c, model.phi, model.theta, model.beta, z, xcols, at)
+    z, _, xcols, base = _window_diff_parts(ds, model.d)
+    zhat, _ = _arimax_forward(model.c, model.phi, model.theta, model.beta, z, xcols, base)
     if model.d == 0:
         return zhat
     # ``undifference`` on every window at once: the same level tails,

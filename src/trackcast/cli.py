@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
 import math
 import os
@@ -325,6 +326,20 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _check_targets(folder, paths, made: bool) -> None:
+    """Raise, before any data is read and so before any fit, the OSError
+    that writing the files ``paths`` into ``folder`` would raise only at
+    the end: ``folder`` is a file, or is missing and not ``made`` by the
+    command, or one of ``paths`` is a directory."""
+    if made and os.path.exists(folder) and not os.path.isdir(folder):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), folder)  # os.makedirs's
+    if not made and not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), paths[0])
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _read_data(path, schema: CsvSchema, timings: dict):
     if not os.path.isfile(path):
         raise DataFormatError(f"data file not found: {path}")
@@ -342,6 +357,9 @@ def cmd_run(args) -> int:
     ens_cfg = ens.EnsembleConfig(**cfg.get("ensemble", {}))
     # no filter without a ``filter`` section; an empty one filters
     filter_cfg = FilterConfig(**cfg["filter"]) if "filter" in cfg else None
+    artifacts = {name: os.path.join(args.out_dir, f"{name}.tckm") for name in models}
+    report_path = os.path.join(args.out_dir, "report.json")
+    _check_targets(args.out_dir, [*artifacts.values(), report_path], made=True)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -357,14 +375,14 @@ def cmd_run(args) -> int:
         t0 = time.perf_counter()
         entries[name], model, failure = _train_or_fail(name, settings[name], split, ens_cfg)
         if failure is None:
-            save_model(model, os.path.join(args.out_dir, f"{name}.tckm"))
+            save_model(model, artifacts[name])
         else:
             errors[name] = failure
         timings[f"train_{name}_seconds"] = time.perf_counter() - t0
 
     write_report({"config": echo, "audit": asdict(audit), "models": entries,
                   "timings": timings, "errors": {k: why for k, (_, why) in errors.items()}},
-                 os.path.join(args.out_dir, "report.json"))
+                 report_path)
     _print_table(("model", "split", "mse", "mae"),
                  [(name, *m) for name in sorted(entries) for m in _part_metrics(entries[name])])
     return _report_failures(errors)
@@ -393,6 +411,7 @@ def cmd_filter_sweep(args) -> int:
     setting = _model_setting(cfg, swept_model, pre_cfg.window_width)
     ens_cfg = ens.EnsembleConfig(**cfg.get("ensemble", {}))
     base_filter = FilterConfig(**cfg.get("filter", {}))
+    _check_targets(os.path.dirname(args.out) or os.curdir, [args.out], made=False)
 
     timings: dict[str, float] = {}
     table = _read_data(args.data, CsvSchema(**cfg.get("data", {})), timings)

@@ -170,12 +170,15 @@ def save_model(model, path) -> None:
 
 def _write_atomic(path, data: bytes) -> None:
     """Write ``data`` to a temporary file beside ``path`` and rename it
-    over ``path``: a failed write leaves no partial file behind."""
+    over ``path``: a failed write leaves no partial file behind, and its
+    OSError names ``path``, not the temporary file."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

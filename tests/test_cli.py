@@ -309,25 +309,41 @@ class TestDocumentedFailures:
         (None, ["run", "--out-dir", "{file}"], EXIT_IO,
          f"i/o error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{{file}}'"),
         (None, ["filter-sweep", "--out", "{missing}/sweep.json", "--proportions", "0"], EXIT_IO,
-         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/"),
+         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/sweep.json'"),
+        (None, ["run", "--out-dir", "{dirs}", "--models", "arima,lr"], EXIT_IO,
+         f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}/lr.tckm'"),
+        (None, ["run", "--out-dir", "{dirs}", "--models", "arima"], EXIT_IO,
+         f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}/report.json'"),
+        (None, ["filter-sweep", "--out", "{dirs}/lr.tckm", "--proportions", "0"], EXIT_IO,
+         f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}/lr.tckm'"),
     ], ids=["root-not-object", "section-not-object", "no-models", "models-flag-empty",
             "no-proportions", "unknown-ensemble-method", "out-dir-is-a-file",
-            "sweep-out-in-missing-directory"])
-    def test_exit_code_and_one_line(self, cli_workspace, tmp_path, capsys,
+            "sweep-out-in-missing-directory", "artifact-is-a-directory",
+            "report-is-a-directory", "sweep-out-is-a-directory"])
+    def test_exit_code_and_one_line(self, cli_workspace, tmp_path, capsys, monkeypatch,
                                     config, argv, code, line):
+        """Each failure comes before any data is read and any fit runs."""
         config_path = cli_workspace["config"]
         if config is not None:
             config_path = tmp_path / "config.json"
             config_path.write_text(config, encoding="utf-8")
         (tmp_path / "file").write_text("")
+        for name in ("lr.tckm", "report.json"):  # directories where files go
+            (tmp_path / "dirs" / name).mkdir(parents=True)
         paths = {"out": tmp_path / "out", "file": tmp_path / "file",
-                 "missing": tmp_path / "missing"}
+                 "missing": tmp_path / "missing", "dirs": tmp_path / "dirs"}
+        calls = []
+        for module, name in [(cli, "read_csv"), (lin, "fit_linear"), (lin, "fit_arimax"),
+                             (net, "train"), (cli.ens, "train_bagging"),
+                             (cli.ens, "train_boosting")]:
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
         argv = [a.format(**paths) for a in argv]
         assert main([argv[0], "--config", str(config_path), "--data", cli_workspace["data"],
                      *argv[1:]]) == code
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(line.format(**paths))
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
 

@@ -603,6 +603,18 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"old bytes"
         assert os.listdir(tmp_path) == [name]
 
+    @pytest.mark.parametrize("name", ["m.tckm", "report.json"])
+    @pytest.mark.parametrize("fault", ["missing-directory", "target-is-a-directory"])
+    def test_error_names_the_path_given(self, tmp_path, name, fault):
+        path = tmp_path / "missing" / name if fault == "missing-directory" else tmp_path / name
+        if fault == "target-is-a-directory":
+            path.mkdir()
+        with pytest.raises(OSError) as caught:
+            self._writers()[name](path)
+        assert (caught.value.filename, caught.value.filename2) == (str(path), None)
+        assert str(caught.value).endswith(f": '{path}'")
+        assert os.listdir(tmp_path) == ([] if fault == "missing-directory" else [name])
+
 
 class TestMetricRounding:
     def test_six_significant_digits(self):

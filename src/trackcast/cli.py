@@ -332,7 +332,7 @@ def _check_targets(folder, paths, made: bool) -> None:
     the end: ``folder`` is a file, or is missing and not ``made`` by the
     command, or one of ``paths`` is a directory."""
     if made and os.path.exists(folder) and not os.path.isdir(folder):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), folder)  # os.makedirs's
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), folder)  # as os.makedirs
     if not made and not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), paths[0])
     for path in paths:

@@ -4,19 +4,15 @@ Three subcommands wire the pipeline end to end from one JSON config:
 ``synth`` writes a generated CSV, ``run`` preprocesses + trains +
 reports, ``filter-sweep`` trains the first model in ``model.models``
 (ensembled as a run would) once per filter proportion.  Every command
-runs with numpy's OpenBLAS held to one thread, so its outputs do not
-depend on the core count, and with malloc and numpy's huge pages
-pinned (``_steady_memory``), so its memory peak does not depend on the
-machine's free memory.  It starts no thread: a second core runs a
-forked process (``neural._forked_map``).  Run as a program (``python
--m trackcast.cli``, or the ``trackcast`` console script through
-``trackcast.__main__``), the process starts OpenBLAS at one thread:
-``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, since workers
-started at the caller's count would never run a product.  Imported as
-a library, the module leaves the environment alone and ``main`` holds
-the thread count only while a command runs.  The config's keys and
-value types are read from the dataclasses each section sets
-(``_SCHEMA``); a wrong key or type is a configuration problem.
+runs with numpy's OpenBLAS held to one thread (see ``pool``), and with
+malloc and numpy's huge pages pinned (``_steady_memory``), so its
+memory peak does not depend on the machine's free memory.  Run as a
+program (``python -m trackcast.cli``, or the ``trackcast`` console
+script), the process sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy
+loads (see ``trackcast.__main__``); imported as a library, the module
+leaves the environment alone.  The config's keys and value types are
+read from the dataclasses each section sets (``_SCHEMA``); a wrong key
+or type is a configuration problem.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O or data-file
 problem (including data with too few rows or windows), 4 numeric
@@ -59,6 +55,7 @@ from .errors import (
 )
 from .ingest import CsvSchema, SynthConfig, generate_synthetic, read_csv, write_csv
 from .persistence import save_model, write_report
+from .pool import one_blas_thread
 from .preprocess import FilterConfig, PreprocessConfig, run_preprocess
 
 EXIT_OK = 0
@@ -69,7 +66,7 @@ EXIT_DIVERGENCE = 4
 # glibc's mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
-MODEL_NAMES = ("lr", "arima", *net._ARCHS)
+MODEL_NAMES = ("lr", "arima", *net.ARCHS)
 _NET_SIZES = ("hidden_size", "kernel_count", "kernel_width")
 _NET_HINTS = field_types(net.NetworkConfig)
 # section -> key -> type: each section's keys are the fields of the
@@ -320,20 +317,27 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if "n_rows" not in cfg.get("synth", {}):
         raise ConfigError("synth section must set n_rows")
-    table = generate_synthetic(SynthConfig(**cfg["synth"]))
+    synth_cfg = SynthConfig(**cfg["synth"])
+    _check_targets(os.path.dirname(args.out) or os.curdir, [args.out], made=False)
+    table = generate_synthetic(synth_cfg)
     write_csv(table, args.out)
     print(f"wrote {table.n_rows} rows x {table.n_columns} columns to {args.out}")
     return EXIT_OK
 
 
 def _check_targets(folder, paths, made: bool) -> None:
-    """Raise, before any data is read and so before any fit, the OSError
-    that writing the files ``paths`` into ``folder`` would raise only at
-    the end: ``folder`` is a file, or is missing and not ``made`` by the
-    command, or one of ``paths`` is a directory."""
-    if made and os.path.exists(folder) and not os.path.isdir(folder):
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), folder)  # as os.makedirs
-    if not made and not os.path.isdir(folder):
+    """Raise, before any data is read or generated, the OSError that
+    writing ``paths`` into ``folder`` would raise only at the end:
+    ``folder`` is a file or lies below one, or is missing and not
+    ``made`` by the command, or one of ``paths`` is a directory."""
+    if made:
+        start = above = os.path.normpath(folder)
+        while above and not os.path.exists(above):  # up to an existing ancestor
+            above = os.path.dirname(above)
+        if above and not os.path.isdir(above):  # as os.makedirs raises it
+            code = errno.EEXIST if above == start else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), folder)
+    elif not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), paths[0])
     for path in paths:
         if os.path.isdir(path):
@@ -495,9 +499,8 @@ def _steady_memory() -> None:
     busy process.  A 128 KiB mmap threshold cost a third more time (each
     minibatch mapped fresh pages); a 16 MiB one kept 75 MB.  The trim
     threshold is twice the mmap threshold, the pair glibc's own
-    adjustment sets.  The arenas are not capped: trackcast starts no
-    thread, so a command allocates from the main arena alone.  The
-    processes ``neural._forked_map`` forks inherit these settings.
+    adjustment sets.  The arenas are not capped: no thread is started
+    (see ``pool``), so a command allocates from the main arena alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -518,7 +521,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with net._one_blas_thread():
+        with one_blas_thread():
             return args.func(args)
     # IllPosedError first: it is an InvalidArgumentError, but a fault of the data
     except (IllPosedError, SchemaError, DataFormatError, IntegrityError,

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import IllPosedError, InvalidArgumentError
 
-_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def pearson(x, y) -> float:
         overflowed = not np.isfinite([sx, sy, sxy, np.sqrt(sx) * np.sqrt(sy)]).all()
     # squares of deviations below about 1e-154 underflow, so a column
     # that varies can sum to 0 and read as constant
-    underflowed = any(s < _TINY and (a != a[0]).any() for s, a in ((sx, xa), (sy, ya)))
+    underflowed = any(s < TINY and (a != a[0]).any() for s, a in ((sx, xa), (sy, ya)))
     if overflowed or underflowed:
         sx, sy, sxy = _centered_sums(*(a / (np.abs(a).max() or 1.0) for a in (xa, ya)))
     if sx == 0.0 or sy == 0.0:

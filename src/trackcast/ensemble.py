@@ -11,10 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import neural
 from .core import WindowedDataset
 from .errors import IllPosedError, InvalidArgumentError, NumericDivergenceError
 from .neural import NetworkConfig, NetworkParams, TrainTrace, predict_batch, train
+from .pool import forked_map
 from .rng import derive_seed
 
 _COND_LIMIT = 1e12
@@ -133,19 +133,12 @@ def train_bagging(
 ) -> EnsembleModel:
     """m independently seeded members on m bootstrap resamples, mean
     combined.  ``EnsembleConfig`` holds the rule that m is positive;
-    ``EnsembleModel`` rejects zero members.
-
-    The members train on ``neural._forked_map``, one process per usable
-    core up to one per member, each holding OpenBLAS to one thread.  A
-    member is a function of its seed and the data alone, and the
-    members come back in order, so the model is byte-identical to the
-    one-after-another loop, which is what runs on one core, for one
-    member, without OpenBLAS control or beside another thread
-    (``neural._pool_size``).
+    ``EnsembleModel`` rejects zero members.  The members train on
+    ``pool.forked_map``; a member is a function of its seed and the data
+    alone, so the model is the one-after-another loop's bytes.
     """
     m = int(m)
-    results = neural._forked_map(lambda i: _train_bagging_member(cfg, i, ds, val_ds), m,
-                                 neural._pool_size(m))
+    results = forked_map(lambda i: _train_bagging_member(cfg, i, ds, val_ds), m)
     members = tuple(r[0] for r in results)
     traces = tuple(r[1] for r in results)
     retried = tuple(i for i, r in enumerate(results) if r[2])
@@ -220,14 +213,10 @@ def train_boosting(
 
 def member_predictions(members, windows) -> np.ndarray:
     """Column j holds member j's predictions for ``windows``, an
-    (m, l, n) array or a ``WindowedDataset`` (see ``predict_batch``).
-
-    The members predict on ``neural._forked_map``, one process per
-    usable core up to one per member, like ``train_bagging``'s; each
-    column is the bytes the plain loop gives."""
-    n = len(members)
+    (m, l, n) array or a ``WindowedDataset`` (see ``predict_batch``),
+    predicted on ``pool.forked_map``."""
     run = lambda j: predict_batch(members[j], windows)
-    return np.stack(neural._forked_map(run, n, neural._pool_size(n)), axis=1)
+    return np.stack(forked_map(run, len(members)), axis=1)
 
 
 def fit_stacker(preds: np.ndarray, targets: np.ndarray) -> Combiner:

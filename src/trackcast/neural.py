@@ -9,14 +9,7 @@ central finite differences.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +22,7 @@ from .rng import derive_seed
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-_ARCHS = ("lstm", "gru", "cnn")
+ARCHS = ("lstm", "gru", "cnn")
 
 _LSTM_GATES = ("i", "f", "o", "g")
 _GRU_GATES = ("z", "r", "h")
@@ -38,7 +31,6 @@ _GRU_GATES = ("z", "r", "h")
 # 1024 ran fastest on a 21,796-window split (2-core box): LSTM
 # 113/118/133 ms, against 122 ms for the whole split in one call.
 _PREDICT_CHUNK = 1024
-_PR_SET_PDEATHSIG = 1  # prctl's option number, from <linux/prctl.h>
 
 
 @dataclass(frozen=True)
@@ -57,8 +49,8 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arch not in _ARCHS:
-            raise InvalidArgumentError(f"arch must be one of {_ARCHS}")
+        if self.arch not in ARCHS:
+            raise InvalidArgumentError(f"arch must be one of {ARCHS}")
         for name in ("hidden_size", "kernel_count", "kernel_width", "batch_size",
                      "max_epochs", "patience"):
             if int(getattr(self, name)) < 1:
@@ -397,160 +389,6 @@ def forward(params: NetworkParams, window: np.ndarray) -> float:
 predict = forward
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` for the thread count of the OpenBLAS numpy itself
-    loaded, as ctypes functions, or None where none is found.
-
-    SciPy maps a second OpenBLAS into the process, without numpy's
-    symbols, so only a library inside numpy's own install (the wheel's
-    ``numpy.libs``) is searched.  /proc/self/maps lists the mappings on
-    Linux; elsewhere this finds nothing.
-    """
-    root = os.path.dirname(np.__file__)
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        if not (path.startswith(root) and "openblas" in os.path.basename(path)):
-            continue
-        lib = ctypes.CDLL(path)
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread until the block ends, then
-    restore the count it had, also on error; nothing where no OpenBLAS
-    is found.  trackcast's products are too small to gain from BLAS
-    threads, and a sum split across threads changes its last bits."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
-def _pool_size(items: int) -> int:
-    """Processes for ``_forked_map`` over ``items``: one per usable core,
-    at most one per item.  1 where numpy's OpenBLAS is not found, so its
-    threads cannot be held to one, and where another thread runs: a fork
-    copies none of the other threads, but every lock they hold, which
-    nothing in the worker would release."""
-    if _openblas_threads() is None or threading.active_count() > 1:
-        return 1
-    return max(1, min(items, _usable_cores()))
-
-
-def _share(fn, items) -> tuple[list, Exception | None]:
-    """``fn`` over ``items`` up to the first error: the results before
-    it, and that error (None where every item gave a result)."""
-    results = []
-    for i in items:
-        try:
-            results.append(fn(i))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def _received(reader) -> tuple[list, Exception | None]:
-    """The ``_share`` a forked worker sends."""
-    try:
-        return pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
-        raise RuntimeError("a forked worker ended without sending its results") from None
-
-
-def _work(fn, items, out, inherited, parent: int) -> None:
-    """A forked worker's whole life: its ``_share`` of ``fn`` over
-    ``items``, pickled to ``out`` in one piece once it is done, so the
-    worker never waits on the pipe before then; then ``os._exit``, so no
-    cleanup of the parent's runs twice and no error escapes into the
-    parent's code.  Where the C library has ``prctl``, the kernel kills
-    the worker when ``parent`` ends, however it ends."""
-    try:
-        prctl = getattr(ctypes.CDLL(None), "prctl", None)
-        if prctl is not None:
-            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:
-            return
-        for reader in inherited:
-            reader.close()
-        out.write(pickle.dumps(_share(fn, items)))
-        out.flush()
-    finally:
-        os._exit(0)
-
-
-def _forked_map(fn, n: int, k: int) -> list:
-    """``[fn(i) for i in range(n)]`` with item i computed by worker
-    ``i % k``, each worker on a core of its own, with OpenBLAS held to
-    one thread (``_one_blas_thread``).  Ensemble trains bagging's members
-    on it and predicts an ensemble's members.
-
-    Worker 0 is this process: it forks workers 1 to k - 1 and computes
-    its own items before it reads theirs, which each worker sends in one
-    piece when its share is done.  So no process waits for another
-    before its own share is done, however unequal the items' times.
-    The results are then taken in item order, and the first error met
-    is raised: the lowest-index item's, as from the plain loop.  Every
-    worker is killed, if still running, and reaped before this returns
-    or raises, also on an interrupt.  With k = 1 this is the plain loop.
-    """
-    if k < 2:
-        return [fn(i) for i in range(n)]
-    pids, readers, parent = [], [], os.getpid()
-    try:
-        with _one_blas_thread():
-            for w in range(1, k):
-                fd_r, fd_w = os.pipe()
-                readers.append(os.fdopen(fd_r, "rb"))
-                with open(fd_w, "wb") as out:
-                    pid = os.fork()
-                    if pid == 0:
-                        _work(fn, range(w, n, k), out, readers, parent)
-                pids.append(pid)
-            shares, results = [_share(fn, range(0, n, k))], []
-            for i in range(n):
-                if 0 < i < k:  # worker i's first item: its share is needed now
-                    shares.append(_received(readers[i - 1]))
-                done, error = shares[i % k]
-                if i // k == len(done):
-                    raise error
-                results.append(done[i // k])
-            return results
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
-
-
 def predict_batch(params: NetworkParams, windows) -> np.ndarray:
     """Predictions for an (m, l, n) stack of windows or a
     ``WindowedDataset``, in order.
@@ -558,12 +396,9 @@ def predict_batch(params: NetworkParams, windows) -> np.ndarray:
     An array is made a dataset by ``WindowedDataset.of``; each chunk of
     ``_PREDICT_CHUNK`` windows is gathered from ``starts`` by the call
     that predicts it, so the windows are never all held at once.  The
-    chunks run one after another in this process; ensemble's
-    ``member_predictions`` runs its members on ``_forked_map`` instead.
-    Forked per prediction, the chunks took an unbagged 38-epoch GRU run
-    18% more CPU time and no less wall time (2-core box).  The same
-    windows in the same chunks give the same bytes, from an array or a
-    dataset; a window in another chunk, or alone, agrees within
+    chunks run one after another in this process (see ``pool``).  The
+    same windows in the same chunks give the same bytes, from an array
+    or a dataset; a window in another chunk, or alone, agrees within
     rounding, since its bits can depend on its row in the chunk through
     BLAS kernels.
     """

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _TINY, RawTable, SplitSet, WindowedDataset, pearson
+from .core import TINY, RawTable, SplitSet, WindowedDataset, pearson
 from .errors import IllPosedError, InvalidArgumentError
 from .ingest import METERS_STEP
 
@@ -113,7 +113,7 @@ def remove_outliers_zscore(table: RawTable, threshold: float) -> tuple[RawTable,
     target = table.column(table.target_column)
     with np.errstate(over="ignore", invalid="ignore"):
         mu, var = float(target.mean()), float(target.var(ddof=1))
-    if not np.isfinite(var) or var < _TINY and (target != target[0]).any():
+    if not np.isfinite(var) or var < TINY and (target != target[0]).any():
         target = target / np.abs(target).max()
         mu, var = float(target.mean()), float(target.var(ddof=1))
     if var == 0.0:

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from trackcast import neural
+from trackcast import pool
 from trackcast.ingest import SynthConfig, generate_synthetic, write_csv
 from trackcast.preprocess import PreprocessConfig, run_preprocess
 
@@ -24,7 +24,7 @@ FILTER_SEED = 11
 def session_blas_threads():
     """numpy's OpenBLAS thread-count getter and its value at session
     start, or None where no OpenBLAS symbol is found."""
-    blas = neural._openblas_threads()
+    blas = pool._openblas_threads()
     return None if blas is None else (blas[0], blas[0]())
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from trackcast import cli
 from trackcast import linear as lin
 from trackcast import neural as net
+from trackcast import pool
 from trackcast.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -286,6 +287,9 @@ class TestIoErrors:
         assert "not valid UTF-8" in capsys.readouterr().err
 
 
+SYNTH = '{"synth": {"n_rows": 100}}'
+
+
 class TestDocumentedFailures:
     """A documented failure ends in its exit code with one stderr line
     and no stdout.  ``config`` replaces the workspace config (JSON text,
@@ -308,6 +312,8 @@ class TestDocumentedFailures:
          "config error: ensemble method must be one of none, bagging, boosting"),
         (None, ["run", "--out-dir", "{file}"], EXIT_IO,
          f"i/o error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{{file}}'"),
+        (None, ["run", "--out-dir", "{file}/out"], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{{file}}/out'"),
         (None, ["filter-sweep", "--out", "{missing}/sweep.json", "--proportions", "0"], EXIT_IO,
          f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/sweep.json'"),
         (None, ["run", "--out-dir", "{dirs}", "--models", "arima,lr"], EXIT_IO,
@@ -316,13 +322,19 @@ class TestDocumentedFailures:
          f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}/report.json'"),
         (None, ["filter-sweep", "--out", "{dirs}/lr.tckm", "--proportions", "0"], EXIT_IO,
          f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}/lr.tckm'"),
+        (SYNTH, ["synth", "--out", "{missing}/x.csv"], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/x.csv'"),
+        (SYNTH, ["synth", "--out", "{dirs}"], EXIT_IO,
+         f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}'"),
     ], ids=["root-not-object", "section-not-object", "no-models", "models-flag-empty",
             "no-proportions", "unknown-ensemble-method", "out-dir-is-a-file",
-            "sweep-out-in-missing-directory", "artifact-is-a-directory",
-            "report-is-a-directory", "sweep-out-is-a-directory"])
+            "out-dir-below-a-file", "sweep-out-in-missing-directory",
+            "artifact-is-a-directory", "report-is-a-directory", "sweep-out-is-a-directory",
+            "synth-out-in-missing-directory", "synth-out-is-a-directory"])
     def test_exit_code_and_one_line(self, cli_workspace, tmp_path, capsys, monkeypatch,
                                     config, argv, code, line):
-        """Each failure comes before any data is read and any fit runs."""
+        """Each failure comes before any data is read or generated and
+        any fit runs."""
         config_path = cli_workspace["config"]
         if config is not None:
             config_path = tmp_path / "config.json"
@@ -333,13 +345,13 @@ class TestDocumentedFailures:
         paths = {"out": tmp_path / "out", "file": tmp_path / "file",
                  "missing": tmp_path / "missing", "dirs": tmp_path / "dirs"}
         calls = []
-        for module, name in [(cli, "read_csv"), (lin, "fit_linear"), (lin, "fit_arimax"),
-                             (net, "train"), (cli.ens, "train_bagging"),
-                             (cli.ens, "train_boosting")]:
+        for module, name in [(cli, "read_csv"), (cli, "generate_synthetic"),
+                             (lin, "fit_linear"), (lin, "fit_arimax"), (net, "train"),
+                             (cli.ens, "train_bagging"), (cli.ens, "train_boosting")]:
             monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
         argv = [a.format(**paths) for a in argv]
-        assert main([argv[0], "--config", str(config_path), "--data", cli_workspace["data"],
-                     *argv[1:]]) == code
+        data = [] if argv[0] == "synth" else ["--data", cli_workspace["data"]]
+        assert main([argv[0], "--config", str(config_path), *data, *argv[1:]]) == code
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(line.format(**paths))
@@ -689,6 +701,25 @@ class TestRun:
         assert (out_dir / "lr.tckm").is_file()
         assert not (out_dir / "lstm.tckm").exists()
         assert "divergence" in capsys.readouterr().err
+
+    def test_failed_artifact_write_stops_without_report(self, cli_workspace, tmp_path, capsys,
+                                                        monkeypatch):
+        """A ``.tckm`` write that fails after the path checks (here, a full
+        disk) stops the run with exit 3 and one line: no ``report.json``
+        is written, and the artifacts already written stay."""
+        real = cli.save_model
+
+        def save(model, path):
+            if os.path.basename(path) == "arima.tckm":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            real(model, path)
+
+        monkeypatch.setattr(cli, "save_model", save)
+        code, out_dir = run_cli(cli_workspace, tmp_path, "--models", "lr,arima")
+        assert code == EXIT_IO
+        assert sorted(os.listdir(out_dir)) == ["lr.tckm"]
+        assert capsys.readouterr().err == (f"i/o error: [Errno {errno.ENOSPC}] "
+                                           f"{os.strerror(errno.ENOSPC)}: '{out_dir}/arima.tckm'\n")
 
     @pytest.mark.parametrize("ensemble", [[], ["--ensemble", "bagging"]],
                              ids=["plain", "bagged"])
@@ -1075,7 +1106,7 @@ class TestTooFewRows:
 
 
 def blas_or_skip():
-    blas = net._openblas_threads()
+    blas = pool._openblas_threads()
     if blas is None:
         pytest.skip("no OpenBLAS symbol found in numpy's libraries")
     return blas

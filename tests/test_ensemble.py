@@ -10,6 +10,7 @@ from trackcast.core import WindowedDataset
 from trackcast.errors import InvalidArgumentError, NumericDivergenceError
 from trackcast import ensemble as ens
 from trackcast import neural
+from trackcast import pool
 from trackcast.ensemble import (
     Combiner,
     EnsembleModel,
@@ -182,7 +183,7 @@ class TestBagging:
         monkeypatch.setattr(ens, "_train_member", broken)
         raised = []
         for cores in (2, 1):
-            monkeypatch.setattr(neural, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
             with pytest.raises(NumericDivergenceError) as info:
                 train_bagging(cfg, 3, tr, va)
             raised.append((str(info.value), info.value.trace))
@@ -200,15 +201,15 @@ def assert_no_child_left():
 def two_cores(monkeypatch):
     """Two usable cores: bagging forks one worker beside this process
     where numpy's OpenBLAS is found, and runs the plain loop where not."""
-    monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
-    if neural._openblas_threads() is not None:
-        assert neural._pool_size(3) == 2
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+    if pool._openblas_threads() is not None:
+        assert pool._pool_size(3) == 2
 
 
 @pytest.fixture
 def pool_of_two(two_cores):
     """Two usable cores, so bagging forks one worker beside this process."""
-    if neural._openblas_threads() is None:
+    if pool._openblas_threads() is None:
         pytest.skip("the member pool needs numpy's OpenBLAS found")
 
 
@@ -219,8 +220,8 @@ class TestMemberPool:
         tr, va = make_ds(), make_ds(m=8, seed=9)
         cfg = fast_cfg()
         pooled = train_bagging(cfg, 3, tr, va)
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
-        assert neural._pool_size(3) == 1
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        assert pool._pool_size(3) == 1
         serial = train_bagging(cfg, 3, tr, va)
         for a, b in zip(pooled.members, serial.members, strict=True):
             assert a.vector.tobytes() == b.vector.tobytes()
@@ -236,7 +237,7 @@ class TestMemberPool:
         OpenBLAS at one thread, though this process ran two when the pool
         started, and a three-chunk prediction that ran the plain loop
         without a fork."""
-        get_threads, set_threads = neural._openblas_threads()
+        get_threads, set_threads = pool._openblas_threads()
         tr, va = make_ds(), make_ds(m=8, seed=9)
         big = make_ds(m=2 * neural._PREDICT_CHUNK + 1)
         parent = os.getpid()
@@ -272,7 +273,7 @@ class TestMemberPool:
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 3)
         pooled = member_predictions(members, ds)
         assert len(forks) == 1
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         serial = member_predictions(members, ds)
         assert len(forks) == 1
         assert pooled.tobytes() == serial.tobytes()
@@ -310,7 +311,7 @@ class TestMemberPool:
         outcomes = []
         for k in (2, 1):
             try:
-                outcomes.append(neural._forked_map(fn, 5, k))
+                outcomes.append(pool.forked_map(fn, 5, k))
             except ValueError as exc:
                 outcomes.append(exc.args)
             assert_no_child_left()
@@ -331,7 +332,28 @@ class TestMemberPool:
                 time.sleep(0.01)
             return i
 
-        assert neural._forked_map(fn, 4, 2) == [0, 1, 2, 3]
+        assert pool.forked_map(fn, 4, 2) == [0, 1, 2, 3]
+        assert_no_child_left()
+
+    def test_default_k_is_the_pool_size(self, monkeypatch, pool_of_two, forks):
+        """Without k, three items on two usable cores fork one worker; on
+        one usable core, or beside another thread, nothing forks.  Each
+        gives the plain loop's results."""
+        fn = lambda i: 10 * i + 1
+        want = [fn(0), fn(1), fn(2)]
+        assert pool.forked_map(fn, 3) == want and len(forks) == 1
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+        assert pool.forked_map(fn, 3) == want and len(forks) == 1
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert pool.forked_map(fn, 3) == want
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert len(forks) == 1
         assert_no_child_left()
 
     def test_no_fork_beside_another_thread(self, pool_of_two):
@@ -339,7 +361,7 @@ class TestMemberPool:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert neural._pool_size(3) == 1
+            assert pool._pool_size(3) == 1
         finally:
             release.set()
             other.join(timeout=10)
@@ -351,22 +373,22 @@ class TestMemberPool:
         loop: no fork, and the bytes of one usable core."""
         tr, va = make_ds(), make_ds(m=8, seed=9)
         cfg = fast_cfg()
-        real = neural._openblas_threads()
-        monkeypatch.setattr(neural, "_openblas_threads", lambda: None)
+        real = pool._openblas_threads()
+        monkeypatch.setattr(pool, "_openblas_threads", lambda: None)
         if real is not None:  # the count set before the block holds inside it
             get_threads, set_threads = real
             before = get_threads()
             set_threads(2)
             try:
-                with neural._one_blas_thread():
+                with pool.one_blas_thread():
                     inside = get_threads()
                 assert (inside, get_threads()) == (2, 2)
             finally:
                 set_threads(before)
-        assert neural._pool_size(3) == 1
+        assert pool._pool_size(3) == 1
         bagged = train_bagging(cfg, 3, tr, va)
         assert forks == []
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         serial = train_bagging(cfg, 3, tr, va)
         for a, b in zip(bagged.members, serial.members, strict=True):
             assert a.vector.tobytes() == b.vector.tobytes()

@@ -29,6 +29,7 @@ from trackcast.neural import (
     train,
 )
 from trackcast import neural
+from trackcast import pool
 
 ARCHS = ("lstm", "gru", "cnn")
 
@@ -374,10 +375,10 @@ def two_processes(monkeypatch):
     """Two usable cores, so a forked map of two items or more runs on
     this process and one forked worker; skipped where numpy's OpenBLAS
     is not found, since the map then always runs the plain loop."""
-    blas = neural._openblas_threads()
+    blas = pool._openblas_threads()
     if blas is None:
         pytest.skip("the forked map needs numpy's OpenBLAS found")
-    monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
     return blas
 
 
@@ -408,9 +409,9 @@ class TestParallelPredict:
         def predictions():
             return [(predict_batch(p, d.windows), predict_batch(p, d)) for d in inputs]
 
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         parallel = predictions()
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         serial = predictions()
         for (want, from_ds), (serial_array, serial_ds) in zip(parallel, serial):
             assert want.shape == (m,)
@@ -444,11 +445,11 @@ class TestParallelPredict:
                 raised = []
                 for k in (2, 1):
                     with pytest.raises(RuntimeError) as info:
-                        neural._forked_map(run, 3, k)
+                        pool.forked_map(run, 3, k)
                     raised.append(str(info.value))
                 assert raised == ["forward failed"] * 2
             else:
-                got = neural._forked_map(run, 3, neural._pool_size(3))
+                got = pool.forked_map(run, 3, pool._pool_size(3))
             after = get_threads()
         finally:
             set_threads(before)
@@ -467,7 +468,7 @@ class TestParallelPredict:
         calls."""
         ds = make_ds(m=2 * neural._PREDICT_CHUNK + 7, seed=8)
         p = init_params(small_cfg("lstm"), ds.n, ds.l)
-        monkeypatch.setattr(neural, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
         expected = predict_batch(p, ds.windows)
         two_processes(monkeypatch)
         results, errors = [], []

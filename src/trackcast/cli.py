@@ -330,14 +330,13 @@ def _check_targets(folder, paths, made: bool) -> None:
     writing ``paths`` into ``folder`` would raise only at the end:
     ``folder`` is a file or lies below one, or is missing and not
     ``made`` by the command, or one of ``paths`` is a directory."""
-    if made:
-        start = above = os.path.normpath(folder)
-        while above and not os.path.exists(above):  # up to an existing ancestor
-            above = os.path.dirname(above)
-        if above and not os.path.isdir(above):  # as os.makedirs raises it
-            code = errno.EEXIST if above == start else errno.ENOTDIR
-            raise OSError(code, os.strerror(code), folder)
-    elif not os.path.isdir(folder):
+    start = above = os.path.normpath(folder)
+    while above and not os.path.exists(above):  # up to an existing ancestor
+        above = os.path.dirname(above)
+    if above and not os.path.isdir(above):  # as os.makedirs or open raises it
+        code = errno.EEXIST if made and above == start else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), folder if made else paths[0])
+    if not made and above != start:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), paths[0])
     for path in paths:
         if os.path.isdir(path):

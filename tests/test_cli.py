@@ -316,6 +316,8 @@ class TestDocumentedFailures:
          f"i/o error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{{file}}/out'"),
         (None, ["filter-sweep", "--out", "{missing}/sweep.json", "--proportions", "0"], EXIT_IO,
          f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/sweep.json'"),
+        (None, ["filter-sweep", "--out", "{file}/sweep.json", "--proportions", "0"], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{{file}}/sweep.json'"),
         (None, ["run", "--out-dir", "{dirs}", "--models", "arima,lr"], EXIT_IO,
          f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}/lr.tckm'"),
         (None, ["run", "--out-dir", "{dirs}", "--models", "arima"], EXIT_IO,
@@ -326,11 +328,14 @@ class TestDocumentedFailures:
          f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{missing}}/x.csv'"),
         (SYNTH, ["synth", "--out", "{dirs}"], EXIT_IO,
          f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}'"),
+        (SYNTH, ["synth", "--out", "{file}/x.csv"], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{{file}}/x.csv'"),
     ], ids=["root-not-object", "section-not-object", "no-models", "models-flag-empty",
             "no-proportions", "unknown-ensemble-method", "out-dir-is-a-file",
-            "out-dir-below-a-file", "sweep-out-in-missing-directory",
+            "out-dir-below-a-file", "sweep-out-in-missing-directory", "sweep-out-below-a-file",
             "artifact-is-a-directory", "report-is-a-directory", "sweep-out-is-a-directory",
-            "synth-out-in-missing-directory", "synth-out-is-a-directory"])
+            "synth-out-in-missing-directory", "synth-out-is-a-directory",
+            "synth-out-below-a-file"])
     def test_exit_code_and_one_line(self, cli_workspace, tmp_path, capsys, monkeypatch,
                                     config, argv, code, line):
         """Each failure comes before any data is read or generated and

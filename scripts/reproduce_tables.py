@@ -72,7 +72,7 @@ def main():
     def train(name, split, ensemble=EnsembleConfig(), seed=None):
         """The report entry of model ``name`` trained as ``trackcast run``
         trains it; ``seed`` replaces the network's training seed."""
-        setting = cli._model_setting(cfg, name, pre_cfg.window_width)
+        setting = cli._model_settings(cfg, [name], pre_cfg.window_width)[name]
         if seed is not None:
             setting = replace(setting, seed=seed)
         return cli._train_one_model(name, setting, split, ensemble)[0]
@@ -91,7 +91,7 @@ def main():
     rows.append(metrics_row("arima({},{},{})".format(*entry["details"]["order"]), entry) + [None])
     spread = []
     for arch in ("lstm", "gru", "cnn"):
-        seed = cli._model_setting(cfg, arch, pre_cfg.window_width).seed
+        seed = cli._model_settings(cfg, [arch], pre_cfg.window_width)[arch].seed
         seeds = [seed] + [derive_seed(seed, r) for r in range(2, REPEATS + 1)]
         runs = [train(arch, split, seed=s) for s in seeds]
         reps = [metrics_row(f"{arch}-{r}", e) + [e["trace"]["best_epoch"]]

@@ -169,21 +169,25 @@ def _model_list(cfg: dict) -> list[str]:
     return seen
 
 
-def _model_setting(cfg: dict, name: str, window_len: int):
-    """What training model ``name`` needs besides the data: the ARIMA
+def _model_settings(cfg: dict, names, window_len: int) -> dict:
+    """Model name -> what training it needs besides the data: the ARIMA
     order, the network config, or nothing for ``lr``; checked against
-    the window length the preprocessing will cut."""
+    the window length the preprocessing will cut.  The ``model`` sizes
+    and the ``train`` section are checked as one network config whatever
+    ``names`` holds; each network's config is that one with its arch."""
     model = cfg.get("model", {})
-    if name == "lr":
-        return None
-    if name == "arima":
-        return lin.check_order(*model.get("arima_order", (2, 0, 0)), window_len)
     sizes = {k: v for k, v in model.items() if k in _NET_SIZES}
-    net_cfg = net.NetworkConfig(arch=name, **sizes, **cfg.get("train", {}))
-    if name == "cnn" and net_cfg.kernel_width >= window_len:
+    net_cfg = net.NetworkConfig(arch=net.ARCHS[0], **sizes, **cfg.get("train", {}))
+    if "cnn" in names and net_cfg.kernel_width >= window_len:
         raise ConfigError(f"model section: kernel_width {net_cfg.kernel_width}"
                           f" must be smaller than window_width {window_len}")
-    return net_cfg
+    settings = dict.fromkeys(names)
+    for name in names:
+        if name == "arima":
+            settings[name] = lin.check_order(*model.get("arima_order", (2, 0, 0)), window_len)
+        elif name != "lr":
+            settings[name] = replace(net_cfg, arch=name)
+    return settings
 
 
 def _parts(split: SplitSet):
@@ -204,12 +208,12 @@ def _metrics_of(preds: dict, split: SplitSet) -> dict:
 
 
 def _train_one_model(name: str, setting, split: SplitSet, ens_cfg: ens.EnsembleConfig):
-    """Train one configured model from its ``_model_setting``;
+    """Train one configured model from its ``_model_settings`` entry;
     returns (entry dict, model object)."""
     if name == "lr":
         model = lin.fit_linear(split.train)
         predict = lambda ds: lin.predict_linear_batch(model, ds)
-        entry = {"kind": "linear", "details": {"ridge_fallback": model.ridge_fallback}}
+        entry = {"kind": "linear"}
     elif name == "arima":
         p, d, q = setting
         model = lin.fit_arimax(split.train, p, d, q)
@@ -328,8 +332,11 @@ def cmd_synth(args) -> int:
 def _check_targets(folder, paths, made: bool) -> None:
     """Raise, before any data is read or generated, the OSError that
     writing ``paths`` into ``folder`` would raise only at the end:
-    ``folder`` is a file or lies below one, or is missing and not
-    ``made`` by the command, or one of ``paths`` is a directory."""
+    ``folder`` or one of ``paths`` is empty, ``folder`` is a file or lies
+    below one, or is missing and not ``made`` by the command, or one of
+    ``paths`` is a directory."""
+    if "" in (folder, *paths):  # as os.makedirs("") or open("") raises it
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     start = above = os.path.normpath(folder)
     while above and not os.path.exists(above):  # up to an existing ancestor
         above = os.path.dirname(above)
@@ -356,7 +363,7 @@ def cmd_run(args) -> int:
     cfg, echo = _apply_flags(load_config(args.config), args)
     models = _model_list(cfg)
     pre_cfg = PreprocessConfig(**cfg.get("preprocess", {}))
-    settings = {name: _model_setting(cfg, name, pre_cfg.window_width) for name in models}
+    settings = _model_settings(cfg, models, pre_cfg.window_width)
     ens_cfg = ens.EnsembleConfig(**cfg.get("ensemble", {}))
     # no filter without a ``filter`` section; an empty one filters
     filter_cfg = FilterConfig(**cfg["filter"]) if "filter" in cfg else None
@@ -411,7 +418,7 @@ def cmd_filter_sweep(args) -> int:
     proportions = _parse_proportions(args.proportions)
     swept_model = _model_list(cfg)[0]
     pre_cfg = PreprocessConfig(**cfg.get("preprocess", {}))
-    setting = _model_setting(cfg, swept_model, pre_cfg.window_width)
+    setting = _model_settings(cfg, [swept_model], pre_cfg.window_width)[swept_model]
     ens_cfg = ens.EnsembleConfig(**cfg.get("ensemble", {}))
     base_filter = FilterConfig(**cfg.get("filter", {}))
     _check_targets(os.path.dirname(args.out) or os.curdir, [args.out], made=False)

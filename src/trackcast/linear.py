@@ -8,7 +8,7 @@ The row being forecast lies outside the window, so its exogenous
 features are approximated by the newest in-window row (samples sit
 0.25 m apart, so consecutive rows carry nearly identical features).
 With p = d = q = 0 the two paths solve the same least-squares problem
-and produce matching predictions.
+and fit the same coefficients, bit for bit.
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ import numpy as np
 from .core import WindowedDataset
 from .errors import IllPosedError, InvalidArgumentError
 
-_RIDGE = 1e-8
-_COND_LIMIT = 1e12
 _LM_DAMPING = 1e-3
 _LM_MAX_DAMPING = 1e16
 _LM_MAX_EVALS = 100
@@ -36,7 +34,6 @@ class LinearModel:
     bias: float
     target_feature: int
     n_features: int
-    ridge_fallback: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -58,37 +55,22 @@ def _exog_indices(n: int, target_feature: int) -> list[int]:
     return [j for j in range(n) if j != target_feature]
 
 
-def _solve_normal_equations(design: np.ndarray, response: np.ndarray):
-    """Least squares via the normal equations, with a tiny ridge fallback
-    when the Gram matrix is numerically singular (e.g. duplicated
-    feature columns).  Returns (coefficients, fallback_used)."""
-    gram = design.T @ design
-    rhs = design.T @ response
-    cond = np.linalg.cond(gram)
-    fallback = bool(not np.isfinite(cond) or cond > _COND_LIMIT)
-    if fallback:
-        gram = gram + _RIDGE * np.eye(gram.shape[0])
-    return np.linalg.solve(gram, rhs), fallback
-
-
 def fit_linear(ds: WindowedDataset) -> LinearModel:
-    """Ordinary least squares of targets on last-row exogenous features."""
+    """Ordinary least squares of targets on last-row exogenous features:
+    ARIMAX's per-window regression (``_window_lstsq``) at order (0, 0, 0)."""
     if ds.m == 0:
         raise IllPosedError("cannot fit on an empty dataset")
-    exog = _exog_indices(ds.n, ds.target_feature)
-    if ds.m <= len(exog):
+    xcols = [ds.rows[:, j] for j in _exog_indices(ds.n, ds.target_feature)]
+    if ds.m <= len(xcols):
         raise IllPosedError(
-            f"{ds.m} windows cannot determine {len(exog)} feature weights"
+            f"{ds.m} windows cannot determine {len(xcols)} feature weights"
         )
-    x = ds.row(-1)[:, exog]
-    design = np.hstack([np.ones((ds.m, 1)), x])
-    coef, fallback = _solve_normal_equations(design, ds.targets)
+    coef = _window_lstsq([], xcols, ds.starts + ds.l - 1, ds.targets)
     return LinearModel(
         weights=coef[1:],
         bias=float(coef[0]),
         target_feature=ds.target_feature,
         n_features=ds.n,
-        ridge_fallback=fallback,
     )
 
 
@@ -347,6 +329,17 @@ def _blocked_lstsq(blocks, n_rows) -> np.ndarray:
     return np.linalg.lstsq(r[:k, :k], r[:k, k], rcond=np.finfo(np.float64).eps * n_rows)[0]
 
 
+def _window_lstsq(lags, xcols, rows, response) -> np.ndarray:
+    """Least-squares coefficients of the per-window regression: each
+    window's ``response`` on [1, its ``lags``, the exogenous features of
+    its table row in ``rows``], streamed through ``_blocked_lstsq`` in
+    blocks of windows."""
+    m = response.shape[0]
+    blocks = (slice(a, a + _QR_BLOCK) for a in range(0, m, _QR_BLOCK))
+    return _blocked_lstsq((_design_block([c[w] for c in lags], xcols, rows[w], response[w])
+                           for w in blocks), m)
+
+
 def _initial_residuals(z, xcols, base, order: int) -> np.ndarray:
     """Time-major residuals of one long autoregression of the given
     order, with each position's exogenous row, fitted to every in-window
@@ -434,9 +427,7 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     k = 1 + len(lags) + len(xcols)
     if m <= k:
         raise IllPosedError(f"{m} windows cannot determine {k} coefficients")
-    blocks = (slice(a, a + _QR_BLOCK) for a in range(0, m, _QR_BLOCK))
-    coef1 = _blocked_lstsq((_design_block([c[w] for c in lags], xcols, base[w] + big_l - 1, zy[w])
-                            for w in blocks), m)  # exogenous features of each newest row
+    coef1 = _window_lstsq(lags, xcols, base + big_l - 1, zy)  # each window's newest row
     del eps0, lags
 
     parts = _css_parts(coef1, p, q, z, zy, xcols, base)

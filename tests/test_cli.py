@@ -330,12 +330,23 @@ class TestDocumentedFailures:
          f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{dirs}}'"),
         (SYNTH, ["synth", "--out", "{file}/x.csv"], EXIT_IO,
          f"i/o error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{{file}}/x.csv'"),
+        (None, ["run", "--out-dir", ""], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
+        (None, ["filter-sweep", "--out", "", "--proportions", "0"], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
+        (SYNTH, ["synth", "--out", ""], EXIT_IO,
+         f"i/o error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
+        ('{"model": {"models": ["lr"]}, "train": {"seed": -1}}', ["run", "--out-dir", "{out}"],
+         EXIT_CONFIG, "config error: seed must be non-negative"),
+        ('{"model": {"models": ["lr"], "hidden_size": 0}}', ["run", "--out-dir", "{out}"],
+         EXIT_CONFIG, "config error: hidden_size must be positive"),
     ], ids=["root-not-object", "section-not-object", "no-models", "models-flag-empty",
             "no-proportions", "unknown-ensemble-method", "out-dir-is-a-file",
             "out-dir-below-a-file", "sweep-out-in-missing-directory", "sweep-out-below-a-file",
             "artifact-is-a-directory", "report-is-a-directory", "sweep-out-is-a-directory",
             "synth-out-in-missing-directory", "synth-out-is-a-directory",
-            "synth-out-below-a-file"])
+            "synth-out-below-a-file", "out-dir-empty", "sweep-out-empty", "synth-out-empty",
+            "train-rule-without-a-network", "model-size-rule-without-a-network"])
     def test_exit_code_and_one_line(self, cli_workspace, tmp_path, capsys, monkeypatch,
                                     config, argv, code, line):
         """Each failure comes before any data is read or generated and
@@ -663,7 +674,7 @@ class TestRun:
     @pytest.mark.parametrize("stack", [False, True])
     def test_ensemble_metrics_equal_ensemble_predict_batch_bitwise(self, small_split, stack):
         cfg = {"model": {"hidden_size": 4}, "train": {"max_epochs": 1}}
-        net_cfg = cli._model_setting(cfg, "lstm", small_split.train.l)
+        net_cfg = cli._model_settings(cfg, ["lstm"], small_split.train.l)["lstm"]
         settings = EnsembleConfig(method="bagging", members=2, stack=stack)
         entry, model = cli._train_one_model("lstm", net_cfg, small_split, settings)
         assert entry["ensemble"]["combiner"]["kind"] == ("stacker" if stack else "mean")
@@ -1408,8 +1419,7 @@ class TestReportLayout:
         assert code == EXIT_OK
         assert layout == _report_paths({
             **_paths("models", ". object"),
-            **_paths("models.lr", ". object\nkind string\nmetrics object\ndetails object\n"
-                                  "details.ridge_fallback bool"),
+            **_paths("models.lr", ". object\nkind string\nmetrics object"),
             **_paths("models.lr.metrics", _PAIRS),
             **_paths("models.arima", """
                 . object

@@ -60,7 +60,6 @@ class TestFitLinear:
         model = fit_linear(ds_from(w, y, tf=1))
         assert model.bias == pytest.approx(3.0, abs=1e-9)
         assert np.allclose(model.weights, true_w, atol=1e-9)
-        assert not model.ridge_fallback
         preds = predict_linear_batch(model, w)
         assert np.allclose(preds, y, atol=1e-9)
 
@@ -84,13 +83,41 @@ class TestFitLinear:
         with pytest.raises(IllPosedError):
             fit_linear(random_ds(m=3, n=4))
 
-    def test_ridge_fallback_on_duplicate_features(self):
+    def test_duplicate_features_give_minimum_norm_weights(self):
+        """Exactly collinear columns leave the least-squares weights
+        undetermined; the fit returns lstsq's minimum-norm solution, which
+        splits the weight evenly between the two copies."""
         rng = np.random.default_rng(2)
         w = rng.normal(size=(40, 5, 4))
         w[:, :, 3] = w[:, :, 2]  # exact collinearity
-        model = fit_linear(ds_from(w, rng.normal(size=40), tf=0))
-        assert model.ridge_fallback
+        y = rng.normal(size=40)
+        model = fit_linear(ds_from(w, y, tf=0))
+        design = np.hstack([np.ones((40, 1)), w[:, -1, 1:]])
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        assert np.allclose(np.r_[model.bias, model.weights], coef, rtol=0, atol=1e-10)
+        assert model.weights[1] == pytest.approx(model.weights[2], abs=1e-10)
         assert np.all(np.isfinite(predict_linear_batch(model, w)))
+
+    @given(m=st.integers(20, 300), l=st.integers(2, 6), n=st.integers(1, 6),
+           tf=st.integers(0, 5), dup=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_is_arimax_at_order_zero(self, m, l, n, tf, dup, seed):
+        """``fit_linear`` is ARIMAX's per-window regression at order
+        (0, 0, 0), bit for bit, and matches lstsq on the whole design;
+        ``dup`` makes the last exogenous column a copy of another."""
+        tf = tf % n
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(m, l, n))
+        exog = [j for j in range(n) if j != tf]
+        if dup and len(exog) >= 2:
+            w[:, :, exog[-1]] = w[:, :, exog[0]]
+        ds = ds_from(w, rng.normal(size=m), tf=tf)
+        lm, am = fit_linear(ds), fit_arimax(ds, 0, 0, 0)
+        assert lm.bias == am.c
+        assert np.array_equal(lm.weights, am.beta)
+        design = np.hstack([np.ones((m, 1)), w[:, -1, exog]])
+        coef = np.linalg.lstsq(design, ds.targets, rcond=None)[0]
+        assert np.allclose(np.r_[lm.bias, lm.weights], coef, rtol=0, atol=1e-10)
 
     def test_deterministic(self):
         ds = random_ds(seed=5)
@@ -177,12 +204,14 @@ class TestArimaxEstimation:
         assert np.allclose(model.phi, coef[1:], atol=1e-10)
 
     def test_order_zero_with_exog_matches_linear_path(self):
-        """p = q = d = 0 plus exogenous features degenerates to the
-        linear regression path; the two separate implementations must
-        agree numerically."""
+        """p = q = d = 0 plus exogenous features is the linear regression:
+        both fits solve the one per-window regression, so their
+        coefficients are bit-identical and their forecasts agree."""
         ds = random_ds(m=200, l=6, n=4, tf=1, seed=7)
         lm = fit_linear(ds)
         am = fit_arimax(ds, 0, 0, 0)
+        assert lm.bias == am.c
+        assert np.array_equal(lm.weights, am.beta)
         pl = predict_linear_batch(lm, ds.windows)
         pa = predict_arimax_batch(am, ds.windows)
         assert np.max(np.abs(pl - pa)) < 1e-6

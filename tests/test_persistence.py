@@ -98,7 +98,6 @@ class TestRoundTrips:
         assert loaded.bias == model.bias
         assert loaded.target_feature == model.target_feature
         assert loaded.n_features == model.n_features
-        assert loaded.ridge_fallback == model.ridge_fallback
 
     def test_arimax(self, tmp_path):
         ds = make_ds()
@@ -301,7 +300,7 @@ class TestIntegrity:
         (1, ("meta", "p"), 1.9),
         (1, ("meta", "css_final"), "nan"),
         (1, ("arrays", 1, "shape"), [1.0]),  # phi, saved as [1]
-        (0, ("meta", "ridge_fallback"), "no"),
+        (0, ("meta", "n_features"), "no"),
         (3, ("meta", "hidden_size"), 2.0),
         (3, ("meta", "window_len"), "5"),
         (5, ("meta", "n_features"), True),  # a 1-feature GRU

@@ -159,14 +159,12 @@ def train_boosting(
     val_ds: WindowedDataset,
     residual_scope: str = "original",
 ) -> EnsembleModel:
-    """Sequential boosting: each round keeps only the samples the
-    just-trained learner misses by more than ``threshold`` (strictly)
-    as the next round's train set.
-
-    ``residual_scope`` picks which pool the residual rule filters:
-    "original" re-scores the full starting train set every round,
-    "current" filters the shrinking per-round set.  Stops early when
-    the next set is empty or smaller than one minibatch.  ``EnsembleConfig``
+    """Sequential boosting over one position array ``kept`` into ``ds``:
+    round r trains on ``ds.subset(kept)``, every position in round 1.
+    Its member then scores every position of ``ds`` (``residual_scope``
+    "original") or ``kept`` ("current"), and the next ``kept`` is the
+    scored positions it misses by more than ``threshold`` (strictly).
+    Stops early once fewer than one minibatch is kept.  ``EnsembleConfig``
     holds the rules for m, ``threshold`` and ``residual_scope``, and this
     trusts them; ``EnsembleModel`` still rejects zero members.
     """
@@ -176,29 +174,19 @@ def train_boosting(
     members: list[NetworkParams] = []
     traces: list[TrainTrace] = []
     selections: list[tuple[int, ...]] = []
-    stopped_early = False
-    current = ds
-    # absolute positions (into ds) of the current round's samples
-    current_idx = np.arange(ds.m)
+    kept = np.arange(ds.m)
     for round_no in range(m):
-        params, trace = _train_member(cfg, derive_seed(cfg.seed, round_no), current, val_ds)
+        params, trace = _train_member(cfg, derive_seed(cfg.seed, round_no), ds.subset(kept), val_ds)
         members.append(params)
         traces.append(trace)
         if round_no == m - 1:
             break
-        if residual_scope == "original":
-            pool_ds, pool_idx = ds, np.arange(ds.m)
-        else:
-            pool_ds, pool_idx = current, current_idx
-        resid = np.abs(pool_ds.targets - predict_batch(params, pool_ds))
-        keep = resid > threshold
-        next_abs = pool_idx[keep]
-        selections.append(tuple(int(k) for k in next_abs))
-        if next_abs.shape[0] == 0 or next_abs.shape[0] < cfg.batch_size:
-            stopped_early = True
+        scored = np.arange(ds.m) if residual_scope == "original" else kept
+        resid = np.abs(ds.targets[scored] - predict_batch(params, ds.subset(scored)))
+        kept = scored[resid > threshold]
+        selections.append(tuple(int(k) for k in kept))
+        if kept.shape[0] < cfg.batch_size:
             break
-        current = ds.subset(next_abs)
-        current_idx = next_abs
     return EnsembleModel(
         members=tuple(members),
         combiner=Combiner(kind="mean"),
@@ -206,7 +194,7 @@ def train_boosting(
         boost_threshold=threshold,
         member_traces=tuple(traces),
         boost_trace=BoostTrace(
-            selected_indices=tuple(selections), stopped_early=stopped_early
+            selected_indices=tuple(selections), stopped_early=len(members) < m
         ),
     )
 

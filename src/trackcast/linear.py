@@ -43,12 +43,18 @@ class LinearModel:
             raise InvalidArgumentError(
                 "weight count must equal the exogenous feature count"
             )
+        _check_target(self.target_feature, self.n_features)
         w = np.ascontiguousarray(w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "target_feature", int(self.target_feature))
         object.__setattr__(self, "n_features", int(self.n_features))
+
+
+def _check_target(target_feature, n_features) -> None:
+    if not 0 <= int(target_feature) < int(n_features):
+        raise InvalidArgumentError(f"target_feature must index one of {n_features} features")
 
 
 def _exog_indices(n: int, target_feature: int) -> list[int]:
@@ -138,6 +144,8 @@ class ArimaxModel:
     css_warning: bool = False
 
     def __post_init__(self):
+        _check_orders(self.p, self.d, self.q)
+        _check_target(self.target_feature, self.n_features)
         for name in ("phi", "theta", "beta"):
             arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
             arr.setflags(write=False)
@@ -256,16 +264,16 @@ def _residual_jacobian(vec, p, q, z, eps, xcols, base, out=None) -> np.ndarray:
     return np.negative(jac, out=jac)
 
 
-def _refine_css(vec, parts, p, q, z, zy, xcols, base):
+def _refine_css(vec, p, q, z, zy, xcols, base):
     """Levenberg–Marquardt (damped Gauss–Newton) descent on the CSS from
-    ``vec``, whose ``_css_parts`` are ``parts``.  A step s solves
+    ``vec``, whose ``_css_parts`` it takes first.  A step s solves
     (J J' + lam diag(J J')) s = -J r; a step that lowers the CSS is taken
     and shrinks lam tenfold, any other grows it tenfold.  Stops when a
     step lowers the CSS by less than a relative 1e-8, when lam passes
-    1e16, or after 100 CSS and Jacobian evaluations in total.  Returns
-    (vec, css, whether any step was taken).
+    1e16, or after 100 CSS and Jacobian evaluations (the start's two
+    count as one).  Returns (vec, css, whether any step was taken).
     """
-    css, r, eps = parts
+    css, r, eps = _css_parts(vec, p, q, z, zy, xcols, base)
     jac = _residual_jacobian(vec, p, q, z, eps, xcols, base)
     lam, evals, moved = _LM_DAMPING, 1, False
     while evals < _LM_MAX_EVALS and lam < _LM_MAX_DAMPING:
@@ -366,16 +374,21 @@ def _initial_residuals(z, xcols, base, order: int) -> np.ndarray:
     return eps0
 
 
-def check_order(p, d, q, window_len) -> tuple[int, int, int]:
-    """The ARIMA order (p, d, q) as ints, checked for what every fit on
-    windows of length l needs: no negative entry, d at most 2, l > p + d,
-    l > q and, when q > 0, room for the residual initialization:
-    l >= p + q + d + 3."""
-    p, d, q, l = int(p), int(d), int(q), int(window_len)
+def _check_orders(p, d, q) -> tuple[int, int, int]:
+    """(p, d, q) as ints, with no negative entry and d at most 2."""
+    p, d, q = int(p), int(d), int(q)
     if p < 0 or d < 0 or q < 0:
         raise InvalidArgumentError("orders must be non-negative")
     if d > 2:
         raise InvalidArgumentError("differencing degree is capped at 2")
+    return p, d, q
+
+
+def check_order(p, d, q, window_len) -> tuple[int, int, int]:
+    """The ARIMA order (p, d, q) as ints, checked by ``_check_orders`` and
+    for windows of length l: l > p + d, l > q and, when q > 0, room for
+    the residual initialization, l >= p + q + d + 3."""
+    (p, d, q), l = _check_orders(p, d, q), int(window_len)
     if l <= p + d:
         raise InvalidArgumentError(f"window length {l} must exceed p + d = {p + d}")
     if l <= q:
@@ -430,17 +443,14 @@ def fit_arimax(ds: WindowedDataset, p: int, d: int, q: int) -> ArimaxModel:
     coef1 = _window_lstsq(lags, xcols, base + big_l - 1, zy)  # each window's newest row
     del eps0, lags
 
-    parts = _css_parts(coef1, p, q, z, zy, xcols, base)
-    css_initial = parts[0]
+    css_initial = _css_parts(coef1, p, q, z, zy, xcols, base)[0]
     vec, css_final, warning = coef1, css_initial, False
     if q == 1 and abs(coef1[1 + p]) > 1:
         mirror = _reflected_ma1(coef1, p, z, zy, xcols, base)
-        mirror_parts = _css_parts(mirror, p, q, z, zy, xcols, base)
-        if mirror_parts[0] < css_initial:
-            vec, parts = mirror, mirror_parts
-        del mirror_parts  # the losing start's residuals go before refining
+        if _css_parts(mirror, p, q, z, zy, xcols, base)[0] < css_initial:
+            vec = mirror
     if q > 0:
-        vec, css_final, moved = _refine_css(vec, parts, p, q, z, zy, xcols, base)
+        vec, css_final, moved = _refine_css(vec, p, q, z, zy, xcols, base)
         warning = not moved and vec is coef1
 
     c, phi, theta, beta = _unpack(vec, p, q)

@@ -143,8 +143,13 @@ def _tensor_layout(arch, n, l, hidden, count, width) -> tuple[dict, int, int]:
     """Every tensor of a network in draw order, as name -> (shape,
     fan_in, start, stop), then the regularized prefix's length and the
     vector's size.  fan_in 0 marks a bias; [start, stop) is the tensor's
-    place in the flat vector, which holds the regularized tensors first."""
+    place in the flat vector, which holds the regularized tensors first.
+    No network has n < 1, l < 2, or a CNN kernel_width of l or more."""
     n, l, hidden, count, width = (int(v) for v in (n, l, hidden, count, width))
+    if n < 1:
+        raise InvalidArgumentError("n_features must be positive")
+    if l < 2:
+        raise InvalidArgumentError("window_len must be at least 2")
     if arch in ("lstm", "gru"):
         shapes = {}
         for g in _LSTM_GATES if arch == "lstm" else _GRU_GATES:
@@ -153,6 +158,9 @@ def _tensor_layout(arch, n, l, hidden, count, width) -> tuple[dict, int, int]:
             shapes[f"b{g}"] = ((hidden,), 0)
         shapes["head_w"] = ((hidden,), hidden)
     elif arch == "cnn":
+        if width >= l:
+            raise InvalidArgumentError(
+                f"kernel_width {width} must be smaller than window length {l}")
         head_in = count * (l - width + 1)
         shapes = {"kernels": ((count, width, n), width * n), "conv_b": ((count,), 0),
                   "head_w": ((head_in,), head_in)}
@@ -173,18 +181,10 @@ def init_params(cfg: NetworkConfig, n_features: int, window_len: int) -> Network
     Draw order over tensors is fixed, so a seed pins every value."""
     n = int(n_features)
     l = int(window_len)
-    if n < 1:
-        raise InvalidArgumentError("n_features must be positive")
-    if l < 2:
-        raise InvalidArgumentError("window_len must be at least 2")
     rnn = cfg.arch in ("lstm", "gru")
     hidden = int(cfg.hidden_size) if rnn else 0
     count = 0 if rnn else int(cfg.kernel_count)
     width = 0 if rnn else int(cfg.kernel_width)
-    if width >= l:
-        raise InvalidArgumentError(
-            f"kernel_width {width} must be smaller than window length {l}"
-        )
     rng = np.random.default_rng(int(cfg.seed))
     tensors: dict[str, np.ndarray] = {}
     for name, (shape, fan_in, _, _) in _tensor_layout(cfg.arch, n, l, hidden, count,

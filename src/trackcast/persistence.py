@@ -190,11 +190,12 @@ def load_model(path):
     A damaged artifact raises IntegrityError (UnsupportedVersionError for
     an unknown format version or model kind), whatever part is damaged:
     magic, lengths, checksum, or a manifest with missing, wrong-typed or
-    inconsistent fields.  Every manifest value is checked against its
-    declared type by the rule config files are read by (``core.checked``):
-    an integer for an int field, never a boolean, a float or a string.
-    Every array the manifest lists must be one the model reads, listed
-    once."""
+    inconsistent fields, or a value no fit writes (an ARIMAX order, a
+    target feature or a network size the model records reject).  Every
+    manifest value is checked against its declared type by the rule
+    config files are read by (``core.checked``): an integer for an int
+    field, never a boolean, a float or a string.  Every array the
+    manifest lists must be one the model reads, listed once."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackcast.core import WindowedDataset
 from trackcast.errors import InvalidArgumentError, NumericDivergenceError
@@ -459,6 +461,38 @@ class TestBoosting:
         sel = model.boost_trace.selected_indices
         for earlier, later in zip(sel, sel[1:]):
             assert set(later) <= set(earlier)
+
+    @given(threshold=st.sampled_from([0.3, 0.7, 1.2]), batch_size=st.integers(1, 16),
+           scope=st.sampled_from(ens.RESIDUAL_SCOPES))
+    @example(threshold=0.7, batch_size=8, scope="original")  # all 4 rounds
+    @example(threshold=1.2, batch_size=8, scope="current")  # stops after 2
+    @example(threshold=1.2, batch_size=16, scope="original")  # stops after 1
+    @settings(max_examples=8, deadline=None)
+    def test_each_selection_is_what_the_member_misses_of_the_scored_set(
+        self, threshold, batch_size, scope
+    ):
+        """Round r's selection is the positions of the scored set that
+        member r misses by more than the threshold; the scored set is the
+        whole train part under "original", and the previous selection (the
+        whole part in round 1) under "current".  Only the last selection
+        may be shorter than a batch, and it is exactly when training
+        stopped before the last round."""
+        tr, va = make_ds(m=40, seed=12), make_ds(m=8, seed=9)
+        rounds = 4
+        model = train_boosting(fast_cfg(batch_size=batch_size), rounds, threshold, tr, va,
+                               residual_scope=scope)
+        trace = model.boost_trace
+        scored = np.arange(tr.m)
+        for member, selected in zip(model.members, trace.selected_indices):
+            resid = np.abs(tr.targets[scored] - predict_batch(member, tr.subset(scored)))
+            assert selected == tuple(int(i) for i in scored[resid > threshold])
+            if scope == "current":
+                scored = np.asarray(selected, dtype=np.int64)
+        sel = trace.selected_indices
+        assert trace.stopped_early == (len(model.members) < rounds)
+        assert len(sel) == len(model.members) - (not trace.stopped_early)
+        assert all(len(s) >= batch_size for s in sel[:-1])
+        assert trace.stopped_early == (len(sel) > 0 and len(sel[-1]) < batch_size)
 
     def test_scope_and_threshold_validated(self):
         tr, va = make_ds(), make_ds(m=8, seed=9)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -390,7 +391,7 @@ class TestMirroredMa1Start:
         evaluations.clear()
         parts = _window_diff_parts(split.train, 0)
         first = lin._css_parts(stage_one, 2, 1, *parts)
-        _, css_from_stage_one, _ = lin._refine_css(stage_one, first, 2, 1, *parts)
+        _, css_from_stage_one, _ = lin._refine_css(stage_one, 2, 1, *parts)
         assert model.css_initial == first[0]
         assert fit_evaluations < len(evaluations)
         assert model.css_final <= css_from_stage_one * (1 + 1e-8)
@@ -557,6 +558,31 @@ class TestArimaxMemory:
         # rows, exogenous gather or stage-one design is held
         assert self.traced_peak(lambda: fit_arimax(ds, 2, 0, 1)) < 0.65 * window_bytes
         assert self.traced_peak(lambda: predict_arimax_batch(model, ds)) < 0.3 * window_bytes
+
+    def test_refinement_holds_one_earlier_residual_array(self, monkeypatch):
+        """At each forward of an ARIMAX(2, 0, 1) fit on the 2000-row
+        seed-20 synth table, at most one (L, m) residual array of an
+        earlier forward is alive: the refinement's current one.  No
+        start's residuals are held through the refinement."""
+        table = generate_synthetic(SynthConfig(n_rows=2000, seed=20))
+        split, _ = run_preprocess(
+            table,
+            PreprocessConfig(window_width=8),
+            FilterConfig(variance_threshold=SWEEP_VARIANCE_THRESHOLD,
+                         discard_proportion=0.2, seed=FILTER_SEED),
+        )
+        refs, alive = [], []
+
+        def spy(*args, _real=lin._arimax_forward):
+            alive.append(sum(ref() is not None for ref in refs))
+            zhat, eps = _real(*args)
+            refs.append(weakref.ref(eps))
+            return zhat, eps
+
+        monkeypatch.setattr(lin, "_arimax_forward", spy)
+        model = fit_arimax(split.train, 2, 0, 1)
+        assert model.css_final < model.css_initial  # the refinement took steps
+        assert max(alive) <= 1
 
 
 class TestBlockedLeastSquares:

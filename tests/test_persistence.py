@@ -340,6 +340,31 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match=match):
             _load_damaged_strict(blob[:8] + len(new).to_bytes(8, "little") + new + payload)
 
+    @pytest.mark.parametrize("which,field,value", [
+        (1, "d", -1),
+        (1, "d", 3),
+        (1, "d", 7),
+        (0, "target_feature", -1),
+        (0, "target_feature", "n_features"),
+        (1, "target_feature", -1),
+        (1, "target_feature", "n_features"),
+        (2, "window_len", 0),  # an LSTM
+        (2, "window_len", 1),
+        (3, "window_len", 0),  # a GRU
+        (3, "window_len", 1),
+    ])
+    def test_manifest_value_no_fit_writes(self, which, field, value):
+        """A well-typed manifest value that no fit writes fails at load,
+        not at prediction: an ARIMAX differencing degree outside 0..2, a
+        linear target feature outside the feature columns, a recurrent
+        network's window shorter than 2.  "n_features" stands for the
+        saved feature count."""
+        header = _header(_saved_blobs()[which])
+        meta = header["meta"]
+        meta[field] = meta[value] if isinstance(value, str) else value
+        with pytest.raises(IntegrityError, match="InvalidArgumentError"):
+            _load_damaged_strict(_with_header(_saved_blobs()[which], header))
+
     def test_unknown_combiner_kind(self):
         header = _header(_saved_blobs()[4])
         header["meta"]["combiner"].update(kind="median")
